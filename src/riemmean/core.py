@@ -83,22 +83,35 @@ def expm_sym(A: np.ndarray) -> np.ndarray:
     return (U * np.exp(lam)) @ U.T
 
 
-def rotation_angles(R: np.ndarray) -> np.ndarray:
-    """Principal rotation angles of ``R`` in SO(m), descending, one entry per
-    eigenvalue of the symmetric part (each rotation plane contributes its
-    angle twice, fixed axes contribute 0).
+def angle_frame(R: np.ndarray):
+    """Rotation angles of ``R`` in SO(m), or of each matrix of a
+    ``(..., m, m)`` stack, with the frame they were read off.
+
+    Returns ``(theta, sines, W, AW)``: ``W`` is the eigenframe of the
+    symmetric part (one eigenvector per column, cosines ascending), ``AW``
+    the skew part applied to it, ``sines`` the column norms of ``AW`` and
+    ``theta`` the per-eigenvector angle.  Each rotation plane contributes its
+    angle twice, fixed axes contribute 0.
 
     Angles come from atan2 of the skew part against the symmetric part: on
     each invariant plane the skew part acts with norm ``|sin theta|``, which
     keeps full precision near theta = 0 and pi (arccos alone loses half the
-    digits there)."""
+    digits there).  Stacks go through one batched ``eigh``.
+    """
     R = np.asarray(R, dtype=float)
-    S = 0.5 * (R + R.T)
-    A = 0.5 * (R - R.T)
+    Rt = np.swapaxes(R, -1, -2)
+    S = 0.5 * (R + Rt)
+    A = 0.5 * (R - Rt)
     cosines, W = np.linalg.eigh(S)
     AW = A @ W
-    sines = np.sqrt(np.einsum("ij,ij->j", AW, AW))
-    return np.sort(np.arctan2(sines, cosines))[::-1]
+    sines = np.sqrt(np.einsum("...ij,...ij->...j", AW, AW))
+    return np.arctan2(sines, cosines), sines, W, AW
+
+
+def rotation_angles(R: np.ndarray) -> np.ndarray:
+    """Principal rotation angles of ``R`` (or of each matrix of a stack),
+    descending; see `angle_frame`."""
+    return np.flip(np.sort(angle_frame(R)[0], axis=-1), axis=-1)
 
 
 def so_norm_from_identity(R: np.ndarray) -> float:
@@ -113,33 +126,22 @@ def so_norm_from_identity(R: np.ndarray) -> float:
     return math.sqrt(0.5 * float(np.dot(theta, theta)))
 
 
-def _angle_frame(R: np.ndarray):
-    """Eigenframe of the symmetric part with per-eigenvector rotation angle
-    recovered from atan2(skew action, cosine): uniformly accurate in theta."""
-    R = np.asarray(R, dtype=float)
-    S = 0.5 * (R + R.T)
-    A = 0.5 * (R - R.T)
-    cosines, W = np.linalg.eigh(S)
-    AW = A @ W
-    sines = np.sqrt(np.einsum("ij,ij->j", AW, AW))
-    return np.arctan2(sines, cosines), sines, W, AW
-
-
 def rotation_log(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Principal matrix logarithm of ``R`` in SO(m), as a skew matrix.
+    """Principal matrix logarithm of ``R`` in SO(m), as a skew matrix; a
+    ``(..., m, m)`` stack gives the stack of logs.
 
     Raises `CutLocusError` when some rotation angle is within ``tol`` of pi:
     there the principal log is not unique (or not defined) and the formula
     below loses the plane's orientation.
     """
-    theta, sines, W, AW = _angle_frame(R)
+    theta, sines, W, AW = angle_frame(R)
     if float(theta.max()) > math.pi - tol:
         raise CutLocusError("rotation has an angle-pi block; log is not unique")
     # scale the skew action on each eigenvector to length theta; where the
     # action vanishes the log contribution is zero anyway
     ratio = theta / np.maximum(sines, 1e-300)
-    X = (AW * ratio) @ W.T
-    return 0.5 * (X - X.T)
+    X = (AW * ratio[..., None, :]) @ np.swapaxes(W, -1, -2)
+    return 0.5 * (X - np.swapaxes(X, -1, -2))
 
 
 def minimal_rotation_logs(R: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
@@ -149,7 +151,7 @@ def minimal_rotation_logs(R: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
     angle-pi plane there are two minimal logs (the two orientations of that
     plane).  Two or more pi-planes give a continuum, which is refused.
     """
-    theta, sines, W, AW = _angle_frame(R)
+    theta, sines, W, AW = angle_frame(R)
     at_pi = theta > math.pi - tol
     if not at_pi.any():
         return [rotation_log(R, tol)]

@@ -144,8 +144,19 @@ class FiniteAction:
     def orbit(self, p: Point) -> list[Point]:
         return [self.apply(h, p) for h in self.elements]
 
+    def orbit_stack(self, p: Point) -> np.ndarray:
+        """Coordinates of the orbit of ``p``, stacked in element order:
+        shape ``(order,) + cover.shape``."""
+        return np.stack([q.coords for q in self.orbit(p)])
+
+    def orbit_dist(self, p: Point, target: Point) -> float:
+        """``min_h dist(h . p, target)``: one batched distance call over the
+        orbit of ``p``."""
+        self.cover._own(target)
+        return float(self.cover._dist_block(target.coords, self.orbit_stack(p)).min())
+
     def same_fiber(self, p: Point, q: Point, tol: float = FIBER_TOL) -> bool:
-        return min(self.cover.dist(self.apply(h, p), q) for h in self.elements) <= tol
+        return self.orbit_dist(p, q) <= tol
 
 
 def beta(
@@ -169,19 +180,15 @@ def beta(
     best = math.inf
     for _ in range(samples):
         p = cover.random_point(rng)
-        for h in action.elements[1:]:
-            best = min(best, cover.dist(p, action.apply(h, p)))
+        moved = action.orbit_stack(p)[1:]
+        best = min(best, float(cover._dist_block(p.coords, moved).min()))
     return BetaEstimate(best, exact=False)
 
 
 def quotient_dist(action: FiniteAction, a: QuotientPoint, b: QuotientPoint) -> float:
     """Quotient distance: min over the group of cover distances between
     representatives.  Independent of the representatives chosen."""
-    cover = action.cover
-    return min(
-        cover.dist(a.representative, action.apply(h, b.representative))
-        for h in action.elements
-    )
+    return action.orbit_dist(b.representative, a.representative)
 
 
 def d_evt(action: FiniteAction, q: QuotientPoint, p_tilde: Point) -> float:
@@ -190,11 +197,7 @@ def d_evt(action: FiniteAction, q: QuotientPoint, p_tilde: Point) -> float:
     Equals ``quotient_dist(q, class of p_tilde)`` because the covering is a
     local isometry and orbits project to points.
     """
-    cover = action.cover
-    return min(
-        cover.dist(action.apply(h, q.representative), p_tilde)
-        for h in action.elements
-    )
+    return action.orbit_dist(q.representative, p_tilde)
 
 
 def efm_objective(
@@ -204,31 +207,15 @@ def efm_objective(
     return float(np.mean([d_evt(action, q, p_tilde) ** 2 for q in Q]))
 
 
-def _align(
-    action: FiniteAction, Q: Sequence[QuotientPoint], p_tilde: Point
-) -> list[GroupElement]:
-    """Per-sample nearest fiber element; ties broken by lowest index."""
-    orbits = [action.orbit(q.representative) for q in Q]
-    idx, _ = _scan_orbits(action.cover, orbits, p_tilde.coords)
-    return [action.elements[i] for i in idx]
-
-
 def _scan_orbits(cover, orbits, coords):
-    """For each cached orbit, the index of the nearest member (lowest index
-    on ties) and its distance."""
-    indices = []
-    dists = []
-    for orbit in orbits:
-        best_i = 0
-        best_d = math.inf
-        for i, member in enumerate(orbit):
-            d = cover._dist(member.coords, coords)
-            if d < best_d:
-                best_d = d
-                best_i = i
-        indices.append(best_i)
-        dists.append(best_d)
-    return indices, dists
+    """For each orbit of the ``(N, order) + cover.shape`` stack, the index of
+    the member nearest to ``coords`` (lowest index on ties) and its distance:
+    one batched distance call over all N * order members."""
+    n, order = orbits.shape[:2]
+    d = cover._dist_block(coords, orbits.reshape((n * order,) + orbits.shape[2:]))
+    d = d.reshape(n, order)
+    indices = d.argmin(axis=1)
+    return indices.tolist(), d[np.arange(n), indices]
 
 
 def efm_solve(
@@ -252,7 +239,12 @@ def efm_solve(
     if not Q:
         raise InvalidInputError("need at least one quotient point")
     cover = action.cover
-    orbits = [action.orbit(q.representative) for q in Q]
+    orbits = np.stack([action.orbit_stack(q.representative) for q in Q])
+
+    def lift_points(idx):
+        return [
+            Point(cover.manifold_id, _frozen(orbits[i, j])) for i, j in enumerate(idx)
+        ]
 
     def scan(coords):
         idx, dists = _scan_orbits(cover, orbits, coords)
@@ -272,7 +264,7 @@ def efm_solve(
         idx, _ = scan(p.coords)
         stable = stable + 1 if idx == prev_alignment else 1
         prev_alignment = idx
-        lifts = [orbits[i][j] for i, j in enumerate(idx)]
+        lifts = lift_points(idx)
         try:
             step = karcher_descent(
                 Configuration(cover, tuple(lifts)), p, tol=inner_tol, certify=False
@@ -290,12 +282,11 @@ def efm_solve(
         raise NoConvergenceError(f"no convergence in {max_outer} outer iterations")
     idx, _ = scan(p.coords)
     alignment = [action.elements[i] for i in idx]
-    lifts = [orbits[i][j] for i, j in enumerate(idx)]
     return EfmResult(
         orbit=action.orbit(p),
         downstairs_mean=QuotientPoint(p),
         objective=f_prev,
-        aligned_lifts=lifts,
+        aligned_lifts=lift_points(idx),
         alignment=alignment,
         outer_iterations=outer_done,
     )
@@ -334,14 +325,12 @@ def even_cover_lifts(
         )
     cover = action.cover
     base_center = center.representative
+    cover._own(base_center)
     base_lifts: list[Point] = []
     for q in Q:
-        hits = []
-        for h in action.elements:
-            pt = action.apply(h, q.representative)
-            if cover.dist(pt, base_center) < r:
-                hits.append(pt)
-        if not hits:
+        orbit = action.orbit_stack(q.representative)
+        hits = np.flatnonzero(cover._dist_block(base_center.coords, orbit) < r)
+        if not len(hits):
             raise InvalidInputError(
                 "configuration point lies outside the sampling ball"
             )
@@ -350,7 +339,7 @@ def even_cover_lifts(
                 "two fiber points inside one covering ball: radius and "
                 "displacement data are inconsistent"
             )
-        base_lifts.append(hits[0])
+        base_lifts.append(Point(cover.manifold_id, _frozen(orbit[hits[0]])))
     return {
         h: Configuration(cover, tuple(action.apply(h, pt) for pt in base_lifts))
         for h in action.elements

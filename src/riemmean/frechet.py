@@ -113,28 +113,20 @@ def gradient_field(Q: Configuration, p: Point, cut_tol: float = CUT_TOL) -> Tang
     """
     m = Q.manifold
     m._own(p)
-    vecs = [m._log(p.coords, q.coords, cut_tol) for q in Q.points]
-    mean = np.mean(vecs, axis=0) if len(vecs) > 1 else vecs[0]
-    return Tangent(p, _frozen(mean))
+    vecs, _ = m._log_block(p.coords, Q.coord_stack, cut_tol)
+    return Tangent(p, _frozen(vecs.mean(axis=0)))
 
 
 def _descent_state(m: Manifold, Q: Configuration, coords: np.ndarray, cut_tol: float):
     """Logs of all data at ``coords`` plus derived quantities.
 
-    Off cut loci ``dist == |log|``, so one pass yields the local objective,
-    the step direction and the gradient norm.  Vector manifolds supply a
-    batched log kernel; matrix and product kinds fall back to a loop.
+    Off cut loci ``dist == |log|``, so one pass of the manifold's batched
+    log kernel over the data stack yields the local objective, the step
+    direction and the gradient norm.
     """
-    block = getattr(m, "_log_block", None)
-    if block is not None:
-        vecs, sq = block(coords, Q.coord_stack, cut_tol)
-        f = float(np.mean(sq))
-        direction = vecs.mean(axis=0)
-    else:
-        vec_list = [m._log(coords, q.coords, cut_tol) for q in Q.points]
-        sq = [m._inner(coords, v, v) for v in vec_list]
-        f = float(np.mean(sq))
-        direction = vec_list[0] if len(vec_list) == 1 else np.mean(vec_list, axis=0)
+    vecs, sq = m._log_block(coords, Q.coord_stack, cut_tol)
+    f = float(np.mean(sq))
+    direction = vecs.mean(axis=0)
     g = math.sqrt(max(m._inner(coords, direction, direction), 0.0))
     return direction, f, g
 
@@ -313,12 +305,9 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
     """
     m = Q.manifold
     r_cx = m.constants.r_cx
-    dist_block = getattr(m, "_dist_block", None)
 
     def distances(coords: np.ndarray) -> np.ndarray:
-        if dist_block is not None:
-            return dist_block(coords, Q.coord_stack)
-        return np.array([m._dist(coords, q.coords) for q in Q.points])
+        return m._dist_block(coords, Q.coord_stack)
 
     best = min(Q.points, key=lambda c: float(np.max(distances(c.coords))))
     best_radius = float(np.max(distances(best.coords)))

@@ -73,6 +73,8 @@ def parse_spd(text: str, m: int | None = None) -> np.ndarray:
         raise InvalidInputError(f"SPD literal length {len(values)} is not a square")
     if m is not None and size != m:
         raise InvalidInputError(f"expected a {m}x{m} matrix, got {size}x{size}")
+    if not np.isfinite(values).all():
+        raise InvalidInputError(f"SPD literal has a non-finite entry: {text!r}")
     return np.array(values).reshape(size, size)
 
 

@@ -18,7 +18,20 @@ Supported kinds and their coordinate conventions:
 Points and tangents are thin immutable wrappers around ndarray coordinates;
 a point carries the id string of its owning manifold so mismatched inputs
 are caught early.  Every operation is a pure function; manifold descriptors
-are immutable after construction.
+are immutable after construction.  Coordinates must be finite: a NaN or
+infinite entry is refused where a point or tangent is wrapped.
+
+Besides the per-point kernels (``_log``, ``_dist``, ...), every kind has one
+batched kernel pair over a stack of points of shape ``(K,) + shape``:
+``_dist_block(p, stack)`` returns the K distances from ``p`` and
+``_log_block(p, stack, tol)`` the K logs at ``p`` (stacked like the input)
+with their squared norms, raising `CutLocusError` when any row would.
+Karcher descent steps, the gradient field, the concentration certificate
+and every minimum over a group orbit go through these blocks.  SO(m) reads
+all relative rotation angles of a stack from one batched ``eigh`` (its
+per-point ``_log`` and ``_dist`` are blocks of one), and products slice the
+stack's column ranges into factor blocks.  This is the leading-batch-axis
+vectorization of Geomstats (Miolane et al., JMLR 2020).
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INF, MetricConstants, rotation_angles, rotation_exp, rotation_log
+from .core import INF, MetricConstants, angle_frame, rotation_exp, rotation_log
 from .errors import CutLocusError, InvalidInputError
 
 POINT_TOL = 1e-10
@@ -58,6 +71,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{what} has a non-finite entry")
+
+
 class Manifold:
     """Common interface; concrete kinds fill in the geometry."""
 
@@ -65,6 +83,8 @@ class Manifold:
     constants: MetricConstants
     dim: int
     is_compact: bool
+    # shape of one point's coordinates
+    shape: tuple[int, ...]
 
     # -- wrapping / validation ------------------------------------------------
 
@@ -72,6 +92,7 @@ class Manifold:
         """Validate ``coords`` against the manifold's defining constraints
         (within 1e-10) and wrap them."""
         coords = np.asarray(coords, dtype=float)
+        _check_finite(coords, "point")
         self._check_coords(coords)
         return Point(self.manifold_id, _frozen(coords))
 
@@ -79,6 +100,7 @@ class Manifold:
         """Validate tangency of ``vec`` at ``base`` (within 1e-10) and wrap."""
         self._own(base)
         vec = np.asarray(vec, dtype=float)
+        _check_finite(vec, "tangent vector")
         if vec.shape != base.coords.shape:
             raise InvalidInputError(
                 f"tangent shape {vec.shape} != point shape {base.coords.shape}"
@@ -183,6 +205,15 @@ class Manifold:
     def _dist(self, p: np.ndarray, q: np.ndarray) -> float:
         raise NotImplementedError
 
+    def _log_block(self, p: np.ndarray, stack: np.ndarray, tol: float):
+        """Logs at ``p`` of every row of ``stack`` (same shape as ``stack``)
+        and their squared norms; `CutLocusError` if any row is cut."""
+        raise NotImplementedError
+
+    def _dist_block(self, p: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        """Distances from ``p`` to every row of ``stack``."""
+        raise NotImplementedError
+
     def _inner(self, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -210,6 +241,7 @@ class Euclidean(Manifold):
             raise InvalidInputError("Euclidean dimension must be >= 1")
         self.n = n
         self.dim = n
+        self.shape = (n,)
         self.is_compact = False
         self.manifold_id = f"euclidean:{n}"
         self.constants = MetricConstants.from_bounds(INF, 0.0)
@@ -266,6 +298,7 @@ class Sphere(Manifold):
             raise InvalidInputError("sphere dimension must be >= 1")
         self.n = n
         self.dim = n
+        self.shape = (n + 1,)
         self.is_compact = True
         self.manifold_id = f"sphere:{n}"
         self.constants = MetricConstants.from_bounds(math.pi, 1.0)
@@ -356,6 +389,7 @@ class SpecialOrthogonal(Manifold):
         self.m = m
         self.k = float(k)
         self.dim = m * (m - 1) // 2
+        self.shape = (m, m)
         self.is_compact = True
         self.manifold_id = f"so:{m}:k={self.k!r}"
         sqrt_k = math.sqrt(self.k)
@@ -381,12 +415,12 @@ class SpecialOrthogonal(Manifold):
         # one Newton orthogonality step; exact no-op on orthogonal input
         return R @ (1.5 * np.eye(self.m) - 0.5 * (R.T @ R))
 
+    # a single point is a stack of one: `_relative` reshapes to (K, m, m)
     def _log(self, p, q, tol):
-        return p @ rotation_log(p.T @ q, tol)
+        return self._log_block(p, q, tol)[0]
 
     def _dist(self, p, q):
-        theta = rotation_angles(p.T @ q)
-        return math.sqrt(self.k * 0.5 * float(np.dot(theta, theta)))
+        return float(self._dist_block(p, q)[0])
 
     def _inner(self, p, u, v):
         X = p.T @ u
@@ -395,7 +429,8 @@ class SpecialOrthogonal(Manifold):
 
     def _in_cut_locus(self, p, q, tol):
         # tol is a distance; convert to an angle via the sqrt(k) scaling
-        return float(rotation_angles(p.T @ q)[0]) > math.pi - tol / math.sqrt(self.k)
+        theta = angle_frame(self._relative(p, q))[0]
+        return float(theta.max()) > math.pi - tol / math.sqrt(self.k)
 
     def _project(self, p, ambient):
         X = p.T @ ambient
@@ -416,6 +451,19 @@ class SpecialOrthogonal(Manifold):
             Q[:, -1] = -Q[:, -1]
         return Q
 
+    def _relative(self, p, stack):
+        # p.T @ Q_k for every Q_k of the stack, as one (K, m, m) array
+        return p.T @ stack.reshape(-1, self.m, self.m)
+
+    def _log_block(self, p, stack, tol):
+        X = rotation_log(self._relative(p, stack), tol)
+        sq = self.k * 0.5 * np.einsum("kij,kij->k", X, X)
+        return (p @ X).reshape(stack.shape), sq
+
+    def _dist_block(self, p, stack):
+        theta = angle_frame(self._relative(p, stack))[0]
+        return np.sqrt(self.k * 0.5 * np.einsum("ki,ki->k", theta, theta))
+
 
 class DiagPos(Manifold):
     """Positive diagonal matrices with the log-Euclidean metric; flat and
@@ -426,6 +474,7 @@ class DiagPos(Manifold):
             raise InvalidInputError("DiagPos needs m >= 1")
         self.m = m
         self.dim = m
+        self.shape = (m,)
         self.is_compact = False
         self.manifold_id = f"diagpos:{m}"
         self.constants = MetricConstants.from_bounds(INF, 0.0)
@@ -489,15 +538,26 @@ class Product(Manifold):
         self.dim = sum(f.dim for f in factors)
         self.is_compact = all(f.is_compact for f in factors)
         self.manifold_id = "product(" + ";".join(f.manifold_id for f in factors) + ")"
-        self._shapes = [f_example_shape(f) for f in factors]
+        self._shapes = [f.shape for f in factors]
         self._sizes = [int(np.prod(s)) for s in self._shapes]
         self._offsets = np.concatenate([[0], np.cumsum(self._sizes)])
+        self.shape = (int(self._offsets[-1]),)
         r_inj = min(f.constants.r_inj for f in factors)
         deltas = [f.constants.delta_sup for f in factors]
         delta = max(deltas)
         if any(f.dim >= 2 for f in factors):
             delta = max(delta, 0.0)
         self.constants = MetricConstants.from_bounds(r_inj, delta)
+
+    def _split_block(self, stack: np.ndarray) -> list[np.ndarray]:
+        """Factor blocks of a ``(K, D)`` stack: the column range of each
+        factor, shaped ``(K,) + factor shape`` (views, no copies)."""
+        return [
+            stack[:, self._offsets[i] : self._offsets[i + 1]].reshape(
+                (len(stack),) + self._shapes[i]
+            )
+            for i in range(len(self.factors))
+        ]
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         return [
@@ -509,9 +569,9 @@ class Product(Manifold):
         return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
 
     def _check_coords(self, coords):
-        if coords.shape != (int(self._offsets[-1]),):
+        if coords.shape != self.shape:
             raise InvalidInputError(
-                f"expected flat shape ({int(self._offsets[-1])},), got {coords.shape}"
+                f"expected flat shape {self.shape}, got {coords.shape}"
             )
         for f, part in zip(self.factors, self.split(coords)):
             f._check_coords(part)
@@ -539,6 +599,21 @@ class Product(Manifold):
                 for f, pp, qq in zip(self.factors, self.split(p), self.split(q))
             )
         )
+
+    def _log_block(self, p, stack, tol):
+        vecs = []
+        sq = 0.0
+        for f, pp, block in zip(self.factors, self.split(p), self._split_block(stack)):
+            v, s = f._log_block(pp, block, tol)
+            vecs.append(v.reshape(len(stack), -1))
+            sq = sq + s
+        return np.concatenate(vecs, axis=1), sq
+
+    def _dist_block(self, p, stack):
+        sq = 0.0
+        for f, pp, block in zip(self.factors, self.split(p), self._split_block(stack)):
+            sq = sq + np.square(f._dist_block(pp, block))
+        return np.sqrt(sq)
 
     def _inner(self, p, u, v):
         return sum(
@@ -576,18 +651,6 @@ class Product(Manifold):
 
     def _random_coords(self, rng):
         return self.join([f._random_coords(rng) for f in self.factors])
-
-
-def f_example_shape(f: Manifold) -> tuple[int, ...]:
-    if isinstance(f, Euclidean):
-        return (f.n,)
-    if isinstance(f, Sphere):
-        return (f.n + 1,)
-    if isinstance(f, SpecialOrthogonal):
-        return (f.m, f.m)
-    if isinstance(f, DiagPos):
-        return (f.m,)
-    raise InvalidInputError(f"unsupported product factor {type(f).__name__}")
 
 
 def parse_manifold(spec: str) -> Manifold:

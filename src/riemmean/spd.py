@@ -21,6 +21,7 @@ they are determined only up to the group action.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -139,6 +140,8 @@ def spd_validate(S: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got {S.shape}")
+    if not np.isfinite(S).all():
+        raise InvalidInputError("matrix has a non-finite entry")
     if np.max(np.abs(S - S.T)) > sym_tol:
         raise InvalidInputError("matrix is not symmetric within tolerance")
     if np.min(np.linalg.eigvalsh(S)) <= 0.0:
@@ -194,10 +197,15 @@ def gm_action(m: int, k: float = 1.0) -> FiniteAction:
     ``sqrt(k) * d_so(h, I)`` by bi-invariance, and the diagonal part
     vanishes toward equal-entry diagonals, so per-element displacement
     floors are exact and the group's minimal displacement is
-    ``sqrt(k) * beta_gp``.
+    ``sqrt(k) * beta_gp``.  Built once per ``(m, k)`` and shared: the
+    action is immutable.
     """
+    return _gm_action(m, float(k))
+
+
+@functools.lru_cache(maxsize=16)
+def _gm_action(m: int, k: float) -> FiniteAction:
     elements = group_enumerate(m)
-    cover = cover_manifold(m, k)
     matrices = [h.matrix for h in elements]
     keys = {_int_key(M): i for i, M in enumerate(matrices)}
     n = len(elements)
@@ -206,26 +214,43 @@ def gm_action(m: int, k: float = 1.0) -> FiniteAction:
         for j in range(n):
             compose[i, j] = keys[_int_key(matrices[i] @ matrices[j])]
     inverse = np.array([keys[_int_key(M.T)] for M in matrices], dtype=int)
-    perms = [h.perm for h in elements]
-
-    def apply_fn(index: int, p: Point) -> Point:
-        U_part, d_part = cover.split(p.coords)
-        new_d = np.empty_like(d_part)
-        for j, i in enumerate(perms[index]):
-            new_d[i] = d_part[j]
-        coords = cover.join([U_part @ matrices[index].T, new_d])
-        return Point(cover.manifold_id, _frozen(coords))
-
+    # the action is shared by every caller of gm_action
+    compose.flags.writeable = False
+    inverse.flags.writeable = False
     sqrt_k = math.sqrt(k)
-    floors = [sqrt_k * so_norm_from_identity(M) for M in matrices]
-    return FiniteAction(
-        cover=cover,
-        labels=[h.label for h in elements],
-        apply_fn=apply_fn,
+    return _SignedPermutationAction(
+        cover_manifold(m, k),
+        elements,
         compose_table=compose,
         inverse_table=inverse,
-        displacement_floor=floors,
+        displacement_floor=[sqrt_k * so_norm_from_identity(M) for M in matrices],
     )
+
+
+class _SignedPermutationAction(FiniteAction):
+    """`act` on eigendecomposition cover points.  An element only moves and
+    negates entries, so a whole orbit is one exact batched product, equal
+    entry for entry to applying the elements one at a time."""
+
+    def __init__(self, cover: Product, elements: list[SignedPermutation], **tables):
+        self._rotations_t = np.stack([h.matrix.T for h in elements])
+        # the diagonal entry landing in slot i comes from slot sources[h, i]
+        self._sources = np.array([np.argsort(h.perm) for h in elements])
+        super().__init__(
+            cover, [h.label for h in elements], self._apply_one, **tables
+        )
+
+    def _images(self, coords: np.ndarray, rows) -> np.ndarray:
+        U, d = self.cover.split(coords)
+        rot = U @ self._rotations_t[rows]
+        return np.concatenate([rot.reshape(len(rot), -1), d[self._sources[rows]]], axis=1)
+
+    def _apply_one(self, index: int, p: Point) -> Point:
+        return Point(p.manifold_id, _frozen(self._images(p.coords, [index])[0]))
+
+    def orbit_stack(self, p: Point) -> np.ndarray:
+        self.cover._own(p)
+        return self._images(p.coords, slice(None))
 
 
 def _int_key(M: np.ndarray) -> tuple[int, ...]:
@@ -238,12 +263,8 @@ def d_psr(
     """Partial scaling-rotation distance: fiber of ``S`` to the fixed
     eigendecomposition ``pair``."""
     canon = eig_canonical(S, gap_tol)
-    cover = cover_manifold(S.shape[0], k)
-    target = pair.to_point(cover)
-    return min(
-        cover.dist(act(h, canon).to_point(cover), target)
-        for h in group_enumerate(S.shape[0])
-    )
+    action = gm_action(S.shape[0], k)
+    return action.orbit_dist(canon.to_point(action.cover), pair.to_point(action.cover))
 
 
 def d_sr(
@@ -255,12 +276,8 @@ def d_sr(
     isometric."""
     c1 = eig_canonical(np.asarray(S1, dtype=float), gap_tol)
     c2 = eig_canonical(np.asarray(S2, dtype=float), gap_tol)
-    m = c1.U.shape[0]
-    cover = cover_manifold(m, k)
-    base = c1.to_point(cover)
-    return min(
-        cover.dist(base, act(h, c2).to_point(cover)) for h in group_enumerate(m)
-    )
+    action = gm_action(c1.U.shape[0], k)
+    return action.orbit_dist(c2.to_point(action.cover), c1.to_point(action.cover))
 
 
 def psr_objective(
@@ -306,8 +323,8 @@ def psr_mean(
     if any(S.shape[0] != m for S in samples):
         raise InvalidInputError("samples have mixed sizes")
     canons = [eig_canonical(S, gap_tol) for S in samples]
-    cover = cover_manifold(m, k)
     action = gm_action(m, k)
+    cover = action.cover
     Q = [QuotientPoint(c.to_point(cover)) for c in canons]
     base = efm_solve(action, Q, tol=tol)
     rep_point = base.downstairs_mean.representative

@@ -51,6 +51,12 @@ def test_point_literal_errors():
         parse_spd("1,2,3")  # not a square
 
 
+@pytest.mark.parametrize("literal", ["nan,0,0,1", "2,0,0,inf", "2,-inf,-inf,1"])
+def test_spd_literal_rejects_non_finite(literal):
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        parse_spd(literal)
+
+
 def test_points_file_comments(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("# heading\n1,0,0\n\n0,1,0  # inline\n")
@@ -160,6 +166,23 @@ def test_usage_error_exit_2(capsys, tmp_path):
     assert code == 2
     assert "usage error" in err
     assert "grammar" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist", "--manifold", "sphere:2", "--a", "nan,0,1", "--b", "0,0,1"),
+        ("dist", "--manifold", "so:2", "--a", "1,0,0,1", "--b", "inf,0,0,1"),
+        ("dist", "--manifold", "product(so:2;diagpos:2)", "--a", "1,0,0,1;nan,1",
+         "--b", "1,0,0,1;2,1"),
+        ("psr-dist", "--a", "nan,0,0,1", "--b", "2,0,0,1"),
+    ],
+)
+def test_non_finite_literal_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "non-finite" in err
+    assert out == ""
 
 
 def test_domain_error_exit_1(capsys):

@@ -52,6 +52,26 @@ def test_tangent_validation():
         so.tangent(I, np.eye(2))  # symmetric, not skew
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("m", manifold_zoo(), ids=lambda m: m.manifold_id)
+def test_non_finite_coordinates_rejected(m, bad):
+    # every validity check is a comparison, and comparisons with NaN are
+    # False, so without the finiteness guard NaN points would be accepted
+    coords = np.array(m.random_point(rng_for(21)).coords)
+    coords.flat[0] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        m.point(coords)
+
+
+@pytest.mark.parametrize("m", manifold_zoo(), ids=lambda m: m.manifold_id)
+def test_non_finite_tangent_rejected(m):
+    p = m.random_point(rng_for(22))
+    vec = np.zeros_like(p.coords)
+    vec.flat[-1] = math.nan
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        m.tangent(p, vec)
+
+
 def test_manifold_mismatch_rejected():
     sph = Sphere(2)
     eu = Euclidean(3)

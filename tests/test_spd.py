@@ -22,6 +22,7 @@ from riemmean.spd import (
     psr_mean,
     psr_objective,
     sample_spd,
+    spd_validate,
     top_stratum_gap,
 )
 
@@ -167,6 +168,18 @@ def test_eig_canonical_deterministic_sign():
 def test_eig_canonical_rejects_nonspd():
     with pytest.raises(InvalidInputError):
         eig_canonical(np.diag([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spd_validate_rejects_non_finite(bad):
+    S = np.diag([2.0, 1.0])
+    S[0, 0] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        spd_validate(S)
+    S = np.diag([2.0, 1.0])
+    S[0, 1] = S[1, 0] = bad  # symmetric, so only the finiteness guard sees it
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        spd_validate(S)
 
 
 # -- distances ---------------------------------------------------------------------
