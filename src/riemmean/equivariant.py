@@ -73,12 +73,18 @@ class QuotientConstants:
 
 @dataclass(frozen=True)
 class EfmResult:
+    """Outcome of `efm_solve`.  ``objective``, ``alignment`` and
+    ``aligned_lifts`` come from the orbit scan at the minimizer that ended
+    the last outer iteration; ``inner_iterations`` sums the accepted
+    iterations of the inner Karcher solves."""
+
     orbit: list[Point]
     downstairs_mean: QuotientPoint
     objective: float
     aligned_lifts: list[Point]
     alignment: list[GroupElement]
     outer_iterations: int
+    inner_iterations: int
 
 
 class FiniteAction:
@@ -234,6 +240,12 @@ def efm_solve(
     iterations.  The objective is nonincreasing across outer iterations.
     Returns one minimizer together with its full orbit; the orbit projects
     to a single quotient point, the downstairs mean.
+
+    Each orbit scan (`_scan_orbits`) serves twice: the scan that ends an
+    outer iteration gives both its objective and the next iteration's
+    alignment, and the last one gives the reported objective and alignment.
+    The initial point keeps the scan it was chosen by, so a solve makes
+    ``outer_iterations + N`` scans (``outer_iterations + 1`` with ``init``).
     """
     Q = list(Q)
     if not Q:
@@ -251,44 +263,42 @@ def efm_solve(
         return idx, float(np.mean(np.square(dists)))
 
     if init is None:
-        init = min(
-            (q.representative for q in Q),
-            key=lambda r: scan(r.coords)[1],
+        # min keeps the first of equal objectives, the lowest sample index
+        p, (idx, f) = min(
+            ((q.representative, scan(q.representative.coords)) for q in Q),
+            key=lambda entry: entry[1][1],
         )
-    p = init
-    _, f_prev = scan(p.coords)
+    else:
+        p, (idx, f) = init, scan(init.coords)
     prev_alignment: list[int] | None = None
     stable = 0
-    outer_done = 0
+    inner_done = 0
     for outer in range(1, max_outer + 1):
-        idx, _ = scan(p.coords)
         stable = stable + 1 if idx == prev_alignment else 1
         prev_alignment = idx
-        lifts = lift_points(idx)
         try:
             step = karcher_descent(
-                Configuration(cover, tuple(lifts)), p, tol=inner_tol, certify=False
+                Configuration(cover, tuple(lift_points(idx))), p,
+                tol=inner_tol, certify=False,
             )
         except (CutLocusError, MaxIterExceededError) as exc:
             raise NoConvergenceError(f"inner Karcher solve failed: {exc}") from exc
+        inner_done += step.iterations
         p = step.minimizer
-        idx, f = scan(p.coords)
-        outer_done = outer
-        if f_prev - f < tol and stable >= 2:
-            f_prev = f
-            break
         f_prev = f
+        idx, f = scan(p.coords)
+        if f_prev - f < tol and stable >= 2:
+            break
     else:
         raise NoConvergenceError(f"no convergence in {max_outer} outer iterations")
-    idx, _ = scan(p.coords)
-    alignment = [action.elements[i] for i in idx]
     return EfmResult(
         orbit=action.orbit(p),
         downstairs_mean=QuotientPoint(p),
-        objective=f_prev,
+        objective=f,
         aligned_lifts=lift_points(idx),
-        alignment=alignment,
-        outer_iterations=outer_done,
+        alignment=[action.elements[i] for i in idx],
+        outer_iterations=outer,
+        inner_iterations=inner_done,
     )
 
 

@@ -456,7 +456,8 @@ class SpecialOrthogonal(Manifold):
         return p.T @ stack.reshape(-1, self.m, self.m)
 
     def _log_block(self, p, stack, tol):
-        X = rotation_log(self._relative(p, stack), tol)
+        # the margin tol is a distance, as in _in_cut_locus
+        X = rotation_log(self._relative(p, stack), tol / math.sqrt(self.k))
         sq = self.k * 0.5 * np.einsum("kij,kij->k", X, X)
         return (p @ X).reshape(stack.shape), sq
 
@@ -687,9 +688,23 @@ def parse_manifold(spec: str) -> Manifold:
     raise InvalidInputError(f"unrecognized manifold spec {spec!r}")
 
 
+SEED_CACHE_SIZE = 16
+_SEED_CACHE: dict[tuple[str, int], tuple[Point, ...]] = {}
+
+
 def quasi_random_points(manifold: Manifold, count: int) -> list[Point]:
     """Deterministic pseudo-random points for multistart seeding; the stream
-    depends only on the manifold id."""
-    key = zlib.crc32(manifold.manifold_id.encode())
-    rng = np.random.Generator(np.random.Philox(key=[0x5EED0000 + key, 0]))
-    return [manifold.random_point(rng) for _ in range(count)]
+    depends only on the manifold id.  Built once per ``(manifold id, count)``
+    (the last `SEED_CACHE_SIZE` pairs are kept) and shared: points are
+    immutable."""
+    key = (manifold.manifold_id, count)
+    points = _SEED_CACHE.get(key)
+    if points is None:
+        crc = zlib.crc32(manifold.manifold_id.encode())
+        rng = np.random.Generator(np.random.Philox(key=[0x5EED0000 + crc, 0]))
+        points = tuple(manifold.random_point(rng) for _ in range(count))
+        if len(_SEED_CACHE) >= SEED_CACHE_SIZE:
+            del _SEED_CACHE[next(iter(_SEED_CACHE))]
+        _SEED_CACHE[key] = points
+    return list(points)
+

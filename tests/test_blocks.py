@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riemmean.core import rotation_exp
@@ -122,6 +122,32 @@ def test_product_blocks_match_per_point_kernels(seed, size, near_pi):
     for d, q in zip(dists, stack):
         assert abs(d - cover._dist(p, q)) <= PARITY_TOL
     check_log_parity(cover, p, stack, CUT_TOL, cover._log)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=seeds,
+    m=st.sampled_from([2, 3, 4]),
+    k=st.sampled_from([0.25, 1.0, 4.0]),
+    offset=st.sampled_from(
+        [0.0, 0.25, 0.5, 0.7, 0.9, 1.0, 1.1, 1.5, 2.0, 2.5, 4.0, 100.0]
+    ),
+)
+@example(seed=0, m=4, k=4.0, offset=0.7)
+def test_so_log_refuses_exactly_inside_the_cut_margin(seed, m, k, offset):
+    """The margin ``tol`` is a distance in both predicates: at relative
+    angle ``pi - offset * CUT_TOL`` the log raises iff the point is within
+    ``CUT_TOL`` of the cut locus, for every metric scale ``k``."""
+    so = SpecialOrthogonal(m, k)
+    rng = rng_of(seed)
+    p = random_rotation(rng, m)
+    q = p @ rotation_near_pi(rng, m, offset * CUT_TOL)
+    try:
+        so._log(p, q, CUT_TOL)
+        refused = False
+    except CutLocusError:
+        refused = True
+    assert refused == so._in_cut_locus(p, q, CUT_TOL)
 
 
 def test_scan_orbits_lowest_index_on_exact_ties():

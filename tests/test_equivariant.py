@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import rng_for, sample_ball, sphere_grid_argmin
+from riemmean import equivariant
 from riemmean.equivariant import (
     FiniteAction,
     QuotientPoint,
+    _scan_orbits,
     antipodal_action,
     beta,
     d_evt,
@@ -17,9 +19,9 @@ from riemmean.equivariant import (
     radius_relations,
 )
 from riemmean.errors import InvalidInputError, RadiusTooLargeError
-from riemmean.frechet import Configuration, frechet_mean
+from riemmean.frechet import Configuration, frechet_mean, karcher_descent
 from riemmean.manifolds import Point, Sphere, _frozen
-from riemmean.spd import gm_action
+from riemmean.spd import eig_canonical, gm_action, sample_spd
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +245,54 @@ def test_efm_objective_nonincreasing_outer(rp2):
     # converged: downstairs mean cannot be beaten by any sample rep
     for q in Q:
         assert res.objective <= efm_objective(action, Q, q.representative) + 1e-12
+
+
+def efm_cases():
+    """(action, data) pairs: RP^2 with spread-out data, and G(2) acting on
+    the PSR cover with random SPD samples."""
+    sphere = Sphere(2)
+    rng = rng_for(87)
+    rp2_data = [QuotientPoint(sphere.random_point(rng)) for _ in range(6)]
+    psr = gm_action(2, 1.0)
+    psr_data = [
+        QuotientPoint(eig_canonical(sample_spd(rng, 2, 0.5)).to_point(psr.cover))
+        for _ in range(7)
+    ]
+    return [(antipodal_action(sphere), rp2_data), (psr, psr_data)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["rp2", "psr_m2"])
+@pytest.mark.parametrize("from_init", [False, True], ids=["samples", "init"])
+def test_efm_scans_each_orbit_stack_once_per_outer_step(monkeypatch, case, from_init):
+    """One scan per outer iteration, plus one per candidate start: the N
+    sample representatives, or the given init."""
+    action, Q = efm_cases()[case]
+    calls = []
+
+    def counting_scan(*args):
+        calls.append(1)
+        return _scan_orbits(*args)
+
+    monkeypatch.setattr(equivariant, "_scan_orbits", counting_scan)
+    init = action.apply(action.elements[1], Q[2].representative) if from_init else None
+    res = efm_solve(action, Q, init=init)
+    assert len(calls) == res.outer_iterations + (1 if from_init else len(Q))
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["rp2", "psr_m2"])
+def test_efm_inner_iterations_sum_the_karcher_solves(monkeypatch, case):
+    action, Q = efm_cases()[case]
+    done = []
+
+    def counting_descent(*args, **kwargs):
+        res = karcher_descent(*args, **kwargs)
+        done.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(equivariant, "karcher_descent", counting_descent)
+    res = efm_solve(action, Q)
+    assert len(done) == res.outer_iterations
+    assert res.inner_iterations == sum(done) > 0
 
 
 # -- even_cover_lifts ---------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rng_for, sample_ball, sphere_grid_argmin, random_tangent
 from riemmean.errors import CutLocusError, InvalidInputError, UnsupportedManifoldError
@@ -26,6 +28,7 @@ from riemmean.manifolds import (
     Tangent,
 )
 from riemmean.numdiff import fd_gradient
+from riemmean.spd import cover_manifold
 
 
 def euclid_config(*values):
@@ -137,6 +140,53 @@ def test_karcher_repeated_point_zero_iterations():
     res = karcher_descent(Q, p)
     assert res.iterations == 0
     assert sph.dist(res.minimizer, p) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["sphere", "so3", "cover2"]),
+    k=st.sampled_from([0.25, 1.0, 4.0]),
+    size=st.integers(min_value=1, max_value=8),
+    spread=st.sampled_from([0.1, 0.5, 0.9]),
+)
+def test_karcher_result_matches_a_fresh_check_at_its_minimizer(
+    seed, kind, k, size, spread
+):
+    """The descent reports its final state instead of re-checking it; that
+    state must agree with `objective` and `barycenter_check` run afresh."""
+    manifold = {
+        "sphere": Sphere(2),
+        "so3": SpecialOrthogonal(3, k),
+        "cover2": cover_manifold(2, k),
+    }[kind]
+    rng = np.random.Generator(np.random.Philox(key=[0xCE27, seed]))
+    center = manifold.random_point(rng)
+    radius = spread * manifold.constants.r_cx
+    pts = tuple(sample_ball(manifold, center, radius, rng) for _ in range(size))
+    Q = Configuration(manifold, pts)
+    res = karcher_descent(Q, pts[0], certify=False)
+    f = objective(Q, res.minimizer)
+    residual, classification = barycenter_check(Q, res.minimizer)
+    # relative, with a floor for one-point data, where both are ~0
+    assert abs(res.objective - f) <= 1e-12 * max(f, 1e-12)
+    assert abs(res.barycenter_residual - residual) <= 1e-12
+    assert res.barycenter_residual == res.grad_norm
+    assert res.classification == classification
+
+
+@pytest.mark.parametrize(
+    "manifold",
+    [Sphere(2), SpecialOrthogonal(3, 2.0), Product([SpecialOrthogonal(2), DiagPos(2)])],
+    ids=lambda m: m.manifold_id,
+)
+def test_frechet_mean_objective_is_the_per_point_objective(manifold):
+    rng = rng_for(72)
+    center = manifold.random_point(rng)
+    pts = tuple(sample_ball(manifold, center, 1.0, rng) for _ in range(5))
+    Q = Configuration(manifold, pts)
+    res = frechet_mean(Q)
+    assert res.objective == objective(Q, res.minimizer)
 
 
 def test_karcher_descent_monotone_objective():

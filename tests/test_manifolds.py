@@ -13,6 +13,7 @@ from riemmean.manifolds import (
     Sphere,
     SpecialOrthogonal,
     parse_manifold,
+    quasi_random_points,
 )
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -293,3 +294,20 @@ def test_parse_manifold_rejects_garbage():
     for bad in ["circle:2", "sphere", "so:2:j=1", "product(sphere:2)"]:
         with pytest.raises(InvalidInputError):
             parse_manifold(bad)
+
+
+@pytest.mark.parametrize("spec", ["sphere:2", "so:3:k=2.0", "product(so:2;diagpos:2)"])
+def test_quasi_random_points_repeat_identically(spec):
+    """Seeds are built once per (manifold id, count) and shared, also with a
+    fresh descriptor of the same id; a shorter request reads the same
+    stream."""
+    first = quasi_random_points(parse_manifold(spec), 20)
+    again = quasi_random_points(parse_manifold(spec), 20)
+    prefix = quasi_random_points(parse_manifold(spec), 5)
+    assert len(first) == len(again) == 20
+    for a, b in zip(first, again):
+        assert a is b
+        assert np.array_equal(a.coords, b.coords)
+        assert not a.coords.flags.writeable
+    for a, b in zip(first, prefix):
+        assert np.array_equal(a.coords, b.coords)
