@@ -13,6 +13,7 @@ files).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import lab
@@ -46,6 +47,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of ``--k``, ``--tol`` and ``--gap-tol``: a finite
+    number > 0 (NaN and infinities are refused here, with exit 2)."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return x
+
+
 class _Usage(Exception):
     pass
 
@@ -70,22 +83,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mean", help="multistart Frechet mean of a configuration")
     p.add_argument("--manifold", required=True)
     p.add_argument("--points", required=True, help="path to a points file")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("efm", help="equivariant Frechet mean on a covering")
     p.add_argument("--cover", required=True, help="covering manifold (sphere:<n>)")
     p.add_argument("--action", default="antipodal", choices=["antipodal"])
     p.add_argument("--points", required=True, help="representatives, one per line")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("psr-mean", help="partial scaling-rotation mean of SPD samples")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--k", type=_positive_float, default=1.0)
     p.add_argument("--samples", required=True, help="SPD matrices, one per line")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--gap-tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.add_argument("--gap-tol", type=_positive_float, default=1e-8)
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--csv", action="store_true")
 
@@ -98,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psr-dist", help="scaling-rotation distance of two SPD matrices")
     p.add_argument("--a", required=True, help="row-major symmetric matrix literal")
     p.add_argument("--b", required=True, help="row-major symmetric matrix literal")
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--gap-tol", type=float, default=1e-8)
+    p.add_argument("--k", type=_positive_float, default=1.0)
+    p.add_argument("--gap-tol", type=_positive_float, default=1e-8)
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("certify", help="concentration (unique-mean) certificate")
@@ -109,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="scaling-rotation geometry constants")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--k", type=_positive_float, default=1.0)
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment from a config")
@@ -224,8 +237,6 @@ def _cmd_constants(args) -> int:
     with _usage_scope():
         if args.m < 2 or args.m > 5:
             raise InvalidInputError("--m must be between 2 and 5")
-        if args.k <= 0:
-            raise InvalidInputError("--k must be positive")
     c = psr_constants(args.m, args.k)
     _emit(
         [

@@ -105,6 +105,16 @@ class MeanResult:
 
 @dataclass(frozen=True)
 class Certificate:
+    """Outcome of `afsari_certificate`.
+
+    ``certified`` is True iff a ball of radius below ``r_cx - margin``
+    contains the configuration; ``center`` and ``radius`` are then that
+    witness ball.  When False, they are the smallest ball the search
+    reached: the best data point and its farthest distance if the diameter
+    ruled out every witness ball before the refinement started, else the
+    refinement's best iterate.
+    """
+
     certified: bool
     center: Point | None
     radius: float
@@ -326,6 +336,18 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
     one-center refinement (step toward the current farthest point with
     weight 1/(iter+1)).  Any witness ball suffices; optimality is not
     required.  A False result means "not certified", not "non-unique".
+
+    One pass over the data takes each point's farthest distance; the first
+    minimum picks the starting center and the maximum is the diameter.  The
+    search stops as soon as the answer is known, in either direction:
+
+    * certified, by a data point or a refinement iterate: ``center`` and
+      ``radius`` are the witness ball;
+    * ruled out by the diameter (``diam / 2 >= r_cx - margin / 2``), before
+      any refinement step: ``center`` is the best data point and
+      ``radius`` its farthest distance;
+    * otherwise the refinement runs out (200 steps, or a cut locus) and
+      ``center`` / ``radius`` are the smallest ball it reached.
     """
     m = Q.manifold
     r_cx = m.constants.r_cx
@@ -333,10 +355,17 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
     def distances(coords: np.ndarray) -> np.ndarray:
         return m._dist_block(coords, Q.coord_stack)
 
-    best = min(Q.points, key=lambda c: float(np.max(distances(c.coords))))
-    best_radius = float(np.max(distances(best.coords)))
+    radii = [float(np.max(distances(q.coords))) for q in Q.points]
+    best_radius = min(radii)
+    best = Q.points[radii.index(best_radius)]
     if best_radius < r_cx - margin:
         return Certificate(certified=True, center=best, radius=best_radius)
+    # Any ball containing Q has radius >= diam(Q) / 2 (triangle inequality),
+    # and the loop below certifies only radii below r_cx - margin.  So from
+    # here it could certify only if its computed distances were off by more
+    # than margin / 2; the half margin is round-off slack.
+    if max(radii) / 2.0 >= r_cx - margin / 2.0:
+        return Certificate(certified=False, center=best, radius=best_radius)
     coords = best.coords
     for it in range(1, 201):
         d = distances(coords)

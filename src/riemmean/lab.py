@@ -18,15 +18,13 @@ of the mean solvers:
 Reproducibility: trials draw from per-trial substreams of a counter-based
 Philox generator keyed by (seed, trial index), so results are independent
 of execution order.  Identical (config, seed) produces byte-identical CSV
-and summary files; to keep that guarantee the CSV's ``time_ms`` column is
-written as 0 (measured wall time stays on the in-memory records).
+and summary files; to keep that guarantee trials record no wall time and
+the CSV's ``time_ms`` column is always written as 0.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -73,6 +71,7 @@ CSV_COLUMNS = (
 
 _INT_FIELDS = {"trials", "sample_size", "seed", "m", "restarts"}
 _FLOAT_FIELDS = {"sigma", "radius", "k", "tol", "gap_tol", "atom_tol"}
+_POSITIVE_FIELDS = ("k", "tol", "gap_tol", "atom_tol")
 _STR_FIELDS = {"experiment", "sampler", "out_csv", "out_summary"}
 
 
@@ -101,6 +100,14 @@ class ExperimentConfig:
             raise InvalidInputError("trials and sample_size must be >= 1")
         if self.experiment == "sphere_genericity" and self.sampler not in SPHERE_SAMPLERS:
             raise InvalidInputError(f"unknown sampler {self.sampler!r}")
+        for name in sorted(_FLOAT_FIELDS):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite")
+        for name in _POSITIVE_FIELDS:
+            if getattr(self, name) <= 0.0:
+                raise InvalidInputError(f"{name} must be > 0")
+        if self.sigma < 0.0:
+            raise InvalidInputError("sigma must be >= 0")
         if not self.out_csv:
             object.__setattr__(self, "out_csv", f"{self.experiment}_trials.csv")
         if not self.out_summary:
@@ -147,14 +154,11 @@ def parse_config(text: str) -> ExperimentConfig:
 @dataclass
 class TrialRecord:
     trial: int
-    digest: str = ""
-    coords: str = ""
     distance_to_A: float | None = None
     residual: float | None = None
     certified: bool | None = None
     unique: bool | None = None
     iterations: int = 0
-    wall_ms: float = 0.0
     failed: bool = False
     failure: str = ""
 
@@ -213,13 +217,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Counter-based per-trial substream; schedule-independent."""
     key = np.array([seed % 2**64, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _digest(arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    return h.hexdigest()[:16]
 
 
 def records_to_csv(records: list[TrialRecord]) -> str:
@@ -336,8 +333,7 @@ def run_sphere_genericity(cfg: ExperimentConfig) -> SummaryReport:
             pts = [sample_vmf_s2(rng, cfg.sigma) for _ in range(cfg.sample_size)]
         else:
             pts = [equator_point] * cfg.sample_size
-        rec = TrialRecord(trial=trial, digest=_digest([p.coords for p in pts]))
-        t0 = time.perf_counter()
+        rec = TrialRecord(trial=trial)
         try:
             res = frechet_mean(Configuration(sphere, tuple(pts)), tol=cfg.tol)
         except RiemmeanError as exc:
@@ -350,8 +346,6 @@ def run_sphere_genericity(cfg: ExperimentConfig) -> SummaryReport:
             rec.certified = res.afsari_certified
             rec.unique = res.multistart_agreement
             rec.iterations = res.iterations
-            rec.coords = " ".join(_fmt(c) for c in res.minimizer.coords)
-        rec.wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(rec)
     report = _summarize(
         cfg, records, sampler_ac=(cfg.sampler != "point_mass_equator")
@@ -387,10 +381,7 @@ def run_rp2_equivariance(cfg: ExperimentConfig) -> SummaryReport:
             QuotientPoint(sample_in_ball(rng, sphere, center_rep, cfg.radius))
             for _ in range(cfg.sample_size)
         ]
-        rec = TrialRecord(
-            trial=trial, digest=_digest([q.representative.coords for q in pts])
-        )
-        t0 = time.perf_counter()
+        rec = TrialRecord(trial=trial)
         try:
             sheets = even_cover_lifts(action, center, cfg.radius, pts)
             means = {h: frechet_mean(conf, tol=cfg.tol) for h, conf in sheets.items()}
@@ -414,7 +405,6 @@ def run_rp2_equivariance(cfg: ExperimentConfig) -> SummaryReport:
                 for h in action.elements
             )
             in_ball = quotient_dist(action, efm.downstairs_mean, center) < cfg.radius
-            orbit_gap = sphere.dist(efm.orbit[0], efm.orbit[1])
             rec.distance_to_A = max(eq_defect, proj_defect)
             rec.residual = max(m.barycenter_residual for m in means.values())
             rec.certified = all(m.afsari_certified for m in means.values())
@@ -422,10 +412,6 @@ def run_rp2_equivariance(cfg: ExperimentConfig) -> SummaryReport:
                 m.multistart_agreement for m in means.values()
             )
             rec.iterations = efm.outer_iterations
-            rec.coords = " ".join(
-                _fmt(c) for c in efm.downstairs_mean.representative.coords
-            ) + f" orbit_gap={_fmt(orbit_gap)}"
-        rec.wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(rec)
     report = _summarize(cfg, records, sampler_ac=True)
     _write_outputs(cfg, records, report)
@@ -470,8 +456,7 @@ def run_psr_genericity(cfg: ExperimentConfig) -> SummaryReport:
         rng = trial_rng(cfg.seed, trial)
         samples, resampled = _draw_spd_samples(cfg, rng)
         total_resampled += resampled
-        rec = TrialRecord(trial=trial, digest=_digest(samples))
-        t0 = time.perf_counter()
+        rec = TrialRecord(trial=trial)
         try:
             res = psr_mean(
                 samples,
@@ -495,8 +480,6 @@ def run_psr_genericity(cfg: ExperimentConfig) -> SummaryReport:
             rec.certified = afsari_certificate(lifted).certified
             rec.unique = res.unique_up_to_G if cfg.restarts > 0 else None
             rec.iterations = res.outer_iterations
-            rec.coords = " ".join(_fmt(c) for c in rep.to_point(cover).coords)
-        rec.wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(rec)
     report = _summarize(
         cfg,
@@ -548,8 +531,7 @@ def run_psr_uniqueness(cfg: ExperimentConfig) -> SummaryReport:
                 rejected += 1
                 continue
             samples.append(S)
-        rec = TrialRecord(trial=trial, digest=_digest(samples))
-        t0 = time.perf_counter()
+        rec = TrialRecord(trial=trial)
         try:
             res = psr_mean(
                 samples,
@@ -576,8 +558,6 @@ def run_psr_uniqueness(cfg: ExperimentConfig) -> SummaryReport:
             rec.certified = afsari_certificate(lifted).certified
             rec.unique = res.unique_up_to_G
             rec.iterations = res.outer_iterations
-            rec.coords = " ".join(_fmt(c) for c in rep.to_point(cover).coords)
-        rec.wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(rec)
     extras = (
         ("rejected_proposals", str(rejected)),

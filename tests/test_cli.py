@@ -185,6 +185,45 @@ def test_non_finite_literal_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("constants", "--m", "2", "--k", "nan"),
+        ("constants", "--m", "2", "--k", "inf"),
+        ("mean", "--manifold", "sphere:2", "--points", "{points}", "--tol", "nan"),
+        ("psr-dist", "--a", "4,0,0,1", "--b", "1,0,0,4", "--k", "nan"),
+        ("psr-dist", "--a", "4,0,0,1", "--b", "1,0,0,4", "--gap-tol", "nan"),
+    ],
+)
+def test_non_finite_float_flag_exits_2(capsys, tmp_path, argv):
+    points = tmp_path / "pts.txt"
+    points.write_text("1,0,0\n0.8,0.6,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(points=points) for a in argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "must be finite and > 0" in out.err
+    assert out.out == ""
+
+
+def test_experiment_with_non_finite_setting_exits_2(capsys, tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        "experiment = psr_genericity\n"
+        "trials = 2\n"
+        "sample_size = 3\n"
+        "seed = 5\n"
+        "tol = nan\n"
+        f"out_csv = {tmp_path / 'out.csv'}\n"
+        f"out_summary = {tmp_path / 'out.txt'}\n"
+    )
+    code, out, err = run_cli(capsys, "experiment", "--config", str(config))
+    assert code == 2
+    assert "tol must be finite" in err
+    assert out == ""
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_domain_error_exit_1(capsys):
     # equal eigenvalues: the scaling-rotation fiber is not a finite orbit
     code, _, err = run_cli(capsys, "psr-dist", "--a", "1,0,0,1", "--b", "2,0,0,1")

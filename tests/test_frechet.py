@@ -20,6 +20,7 @@ from riemmean.frechet import (
     objective,
 )
 from riemmean.manifolds import (
+    CUT_TOL,
     DiagPos,
     Euclidean,
     Product,
@@ -366,6 +367,111 @@ def test_certificate_eigendecomposition_space_ball():
         )
         cert = afsari_certificate(Configuration(prod, pts))
         assert cert.certified
+
+
+def certificate_before_the_diameter_exit(Q, margin=1e-9):
+    """The certificate loop as it ran with no lower bound: the first pass,
+    then up to 200 refinement steps.  Returns (certified, center, radius)."""
+    m = Q.manifold
+    r_cx = m.constants.r_cx
+
+    def distances(coords):
+        return m._dist_block(coords, Q.coord_stack)
+
+    best = min(Q.points, key=lambda c: float(np.max(distances(c.coords))))
+    best_coords = best.coords
+    best_radius = float(np.max(distances(best.coords)))
+    if best_radius < r_cx - margin:
+        return True, best_coords, best_radius
+    coords = best.coords
+    for it in range(1, 201):
+        d = distances(coords)
+        radius = float(np.max(d))
+        if radius < best_radius:
+            best_radius, best_coords = radius, coords
+            if best_radius < r_cx - margin:
+                break
+        if radius == 0.0:
+            break
+        try:
+            v = m._log(coords, Q.points[int(np.argmax(d))].coords, CUT_TOL)
+        except CutLocusError:
+            break
+        coords = m._exp(coords, v / (it + 1.0))
+    return best_radius < r_cx - margin, best_coords, best_radius
+
+
+def far_point(manifold, p):
+    """A point at distance r_inj from ``p``: on the cut locus of ``p``."""
+    if isinstance(manifold, Sphere):
+        return manifold.point(-p.coords)
+    return manifold.point(p.coords @ np.diag([-1.0, -1.0, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["sphere", "so3", "cover3"]),
+    size=st.integers(min_value=2, max_value=8),
+    spread=st.sampled_from([0.3, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0]),
+    add_far_point=st.booleans(),
+)
+def test_certificate_flag_matches_the_loop_without_a_lower_bound(
+    seed, kind, size, spread, add_far_point
+):
+    """The diameter exit changes no ``certified`` flag.  Where it fires, the
+    certificate reports the best data point and a radius of at least half
+    the diameter; elsewhere it reports what the full loop reports."""
+    manifold = {
+        "sphere": Sphere(2),
+        "so3": SpecialOrthogonal(3),
+        "cover3": cover_manifold(3),
+    }[kind]
+    rng = np.random.Generator(np.random.Philox(key=[0xAF5A, seed]))
+    center = manifold.random_point(rng)
+    radius = spread * manifold.constants.r_cx
+    pts = [sample_ball(manifold, center, radius, rng) for _ in range(size)]
+    if add_far_point and kind != "cover3":
+        # on S^2 and SO(3) only a pair at distance ~pi triggers the exit
+        pts.append(far_point(manifold, pts[0]))
+    Q = Configuration(manifold, tuple(pts))
+    cert = afsari_certificate(Q)
+    flag, center_coords, ref_radius = certificate_before_the_diameter_exit(Q)
+    assert cert.certified == flag
+    radii = [float(np.max(manifold._dist_block(q.coords, Q.coord_stack))) for q in pts]
+    diam = max(radii)
+    if not cert.certified and diam / 2 >= manifold.constants.r_cx - 0.5e-9:
+        assert any(np.array_equal(cert.center.coords, q.coords) for q in pts)
+        assert cert.radius == min(radii)
+        assert cert.radius >= diam / 2
+    else:
+        assert np.array_equal(cert.center.coords, center_coords)
+        assert cert.radius == ref_radius
+
+
+@pytest.mark.parametrize(
+    "manifold", [Sphere(2), SpecialOrthogonal(3)], ids=lambda m: m.manifold_id
+)
+def test_certificate_diameter_exit_takes_no_refinement_step(manifold, monkeypatch):
+    """A pair at distance pi plus a third point: every enclosing ball has
+    radius >= pi/2 = r_cx, so the certificate must not step at all."""
+    rng = rng_for(76)
+    p = manifold.random_point(rng)
+    third = manifold.exp(p, random_tangent(manifold, p, rng, scale=1.0))
+    Q = Configuration(manifold, (p, third, far_point(manifold, p)))
+    steps = []
+    exp = type(manifold)._exp
+
+    def counting_exp(self, coords, v):
+        steps.append(1)
+        return exp(self, coords, v)
+
+    monkeypatch.setattr(type(manifold), "_exp", counting_exp)
+    cert = afsari_certificate(Q)
+    assert not cert.certified
+    assert steps == []
+    assert cert.center is Q.points[1]
+    assert cert.radius >= manifold.dist(p, Q.points[2]) / 2
 
 
 # -- forward directional derivative ---------------------------------------------

@@ -58,6 +58,27 @@ def test_parse_config_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("tol = nan", "tol must be finite"),
+        ("atom_tol = nan", "atom_tol must be finite"),
+        ("sigma = nan", "sigma must be finite"),
+        ("k = inf", "k must be finite"),
+        ("radius = -inf", "radius must be finite"),
+        ("tol = 0", "tol must be > 0"),
+        ("gap_tol = -1e-8", "gap_tol must be > 0"),
+        ("atom_tol = 0", "atom_tol must be > 0"),
+        ("k = -1", "k must be > 0"),
+        ("sigma = -0.5", "sigma must be >= 0"),
+    ],
+)
+def test_parse_config_refuses_bad_numeric_settings(setting, message):
+    text = f"experiment = psr_genericity\ntrials = 1\nsample_size = 3\nseed = 1\n{setting}\n"
+    with pytest.raises(InvalidInputError, match=message):
+        lab.parse_config(text)
+
+
 def test_trial_rng_substreams_reproducible():
     a = lab.trial_rng(7, 3).standard_normal(4)
     b = lab.trial_rng(7, 3).standard_normal(4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import curve_length, manifold_zoo, random_tangent, rng_for
 from riemmean.core import rotation_exp
@@ -15,6 +17,7 @@ from riemmean.manifolds import (
     parse_manifold,
     quasi_random_points,
 )
+from riemmean.spd import cover_manifold
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -311,3 +314,63 @@ def test_quasi_random_points_repeat_identically(spec):
         assert not a.coords.flags.writeable
     for a, b in zip(first, prefix):
         assert np.array_equal(a.coords, b.coords)
+
+
+# -- invariants over generated inputs -------------------------------------------
+
+GENERATED_KINDS = {
+    m.manifold_id: m
+    for m in [
+        Sphere(2),
+        SpecialOrthogonal(3, 0.25),
+        SpecialOrthogonal(3, 1.0),
+        SpecialOrthogonal(3, 4.0),
+        DiagPos(3),
+        cover_manifold(3),
+    ]
+}
+# Sphere._dist forms |q - <p, q> p|, which is symmetric in p and q only up to
+# rounding (at most 4.4e-16 over 38000 pairs); every other kind here is
+# exactly symmetric.
+SPHERE_SYMMETRY_TOL = 1e-15
+
+
+def generated_pair(manifold, seed: int, offset: float | None):
+    """A random ``p`` and a ``q`` at distance ``r_inj - offset`` from it (an
+    independent random ``q`` when ``offset`` is None or r_inj is infinite)."""
+    rng = np.random.Generator(np.random.Philox(key=[0x5E77, seed]))
+    p = manifold.random_point(rng)
+    r_inj = manifold.constants.r_inj
+    if offset is None or not math.isfinite(r_inj):
+        return p, manifold.random_point(rng)
+    return p, manifold.exp(p, random_tangent(manifold, p, rng, scale=r_inj - offset))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    name=st.sampled_from(sorted(GENERATED_KINDS)),
+    offset=st.sampled_from([None, 1.0, 1e-3, 1e-5, 0.0]),
+)
+def test_dist_is_symmetric(seed, name, offset):
+    m = GENERATED_KINDS[name]
+    p, q = generated_pair(m, seed, offset)
+    tol = SPHERE_SYMMETRY_TOL if isinstance(m, Sphere) else 0.0
+    assert abs(m.dist(p, q) - m.dist(q, p)) <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    name=st.sampled_from(sorted(GENERATED_KINDS)),
+    offset=st.sampled_from([None, 1.0, 1e-3, 1e-5]),
+)
+def test_exp_of_log_returns_to_the_point(seed, name, offset):
+    """The tolerances of `test_exp_log_identity_random_pairs`, with pairs up
+    to 1e-5 from the cut locus."""
+    m = GENERATED_KINDS[name]
+    p, q = generated_pair(m, seed, offset)
+    assume(not m.in_cut_locus(p, q, 1e-6))
+    v = m.log(p, q)
+    assert m.dist(m.exp(p, v), q) < 1e-9
+    assert abs(m.norm(p, v) - m.dist(p, q)) < 1e-10
