@@ -96,7 +96,10 @@ def angle_frame(R: np.ndarray):
     Angles come from atan2 of the skew part against the symmetric part: on
     each invariant plane the skew part acts with norm ``|sin theta|``, which
     keeps full precision near theta = 0 and pi (arccos alone loses half the
-    digits there).  Stacks go through one batched ``eigh``.
+    digits there).  Stacks go through one batched ``eigh``.  The rotation
+    kernels below use this frame only for m >= 4, where a rotation can turn
+    several planes; `minimal_rotation_logs` uses it for every m, since it
+    needs the eigenvectors spanning an angle-pi plane.
     """
     R = np.asarray(R, dtype=float)
     Rt = np.swapaxes(R, -1, -2)
@@ -108,10 +111,61 @@ def angle_frame(R: np.ndarray):
     return np.arctan2(sines, cosines), sines, W, AW
 
 
+def plane_angle(R: np.ndarray):
+    """Rotation angle of ``R`` in SO(2) or SO(3), or of each matrix of a
+    ``(..., m, m)`` stack, in closed form.
+
+    Returns ``(theta, sines, A)``: ``A = (R - R.T) / 2`` is the skew part,
+    ``sines = sqrt(sum(A**2) / 2)`` and ``theta = atan2(sines, cosines)``
+    with ``cosines = (tr R - (m - 2)) / 2``.  For m <= 3 a rotation turns a
+    single plane, by ``theta``: its skew part is ``sin(theta)`` times the
+    plane's unit generator and its trace is ``2 cos(theta) + m - 2``.  As in
+    `angle_frame`, atan2 keeps full precision near 0 and pi.
+    """
+    R = np.asarray(R, dtype=float)
+    Rt = np.swapaxes(R, -1, -2)
+    A = 0.5 * (R - Rt)
+    sines = np.sqrt(0.5 * np.einsum("...ij,...ij->...", A, A))
+    cosines = 0.5 * (np.trace(R, axis1=-2, axis2=-1) - (R.shape[-1] - 2))
+    return np.arctan2(sines, cosines), sines, A
+
+
+def _one_plane(R: np.ndarray) -> bool:
+    """The one dispatch of the rotation kernels on m: SO(2) and SO(3) turn
+    a single plane and go through `plane_angle`, larger m through the
+    batched ``eigh`` of `angle_frame`."""
+    return R.shape[-1] <= 3
+
+
+def max_rotation_angle(R: np.ndarray) -> float:
+    """Largest rotation angle of ``R`` or of any matrix of a stack; the
+    angle `rotation_log` refuses near pi, read the same way."""
+    R = np.asarray(R, dtype=float)
+    theta = plane_angle(R)[0] if _one_plane(R) else angle_frame(R)[0]
+    return float(theta.max())
+
+
 def rotation_angles(R: np.ndarray) -> np.ndarray:
     """Principal rotation angles of ``R`` (or of each matrix of a stack),
-    descending; see `angle_frame`."""
+    descending, one per eigenvector as in `angle_frame`: each rotation plane
+    twice, fixed axes 0."""
+    R = np.asarray(R, dtype=float)
+    if _one_plane(R):
+        theta = plane_angle(R)[0][..., None]
+        fixed = np.zeros(theta.shape[:-1] + (R.shape[-1] - 2,))
+        return np.concatenate([theta, theta, fixed], axis=-1)
     return np.flip(np.sort(angle_frame(R)[0], axis=-1), axis=-1)
+
+
+def rotation_norm(R: np.ndarray) -> np.ndarray:
+    """Root-sum-square of the rotation planes' angles of each matrix of a
+    ``(..., m, m)`` stack: its geodesic distance from the identity under
+    ``g_so``."""
+    R = np.asarray(R, dtype=float)
+    if _one_plane(R):
+        return plane_angle(R)[0]
+    theta = angle_frame(R)[0]
+    return np.sqrt(0.5 * np.einsum("...i,...i->...", theta, theta))
 
 
 def so_norm_from_identity(R: np.ndarray) -> float:
@@ -126,22 +180,36 @@ def so_norm_from_identity(R: np.ndarray) -> float:
     return math.sqrt(0.5 * float(np.dot(theta, theta)))
 
 
+def _refuse_pi(theta: np.ndarray, tol: float) -> None:
+    if float(theta.max()) > math.pi - tol:
+        raise CutLocusError("rotation has an angle-pi block; log is not unique")
+
+
+def _frame_log(ratio: np.ndarray, W: np.ndarray, AW: np.ndarray) -> np.ndarray:
+    # the skew matrix acting on each eigenvector as the skew part scaled by
+    # ratio; where the action vanishes the log contribution is zero anyway
+    X = (AW * ratio[..., None, :]) @ np.swapaxes(W, -1, -2)
+    return 0.5 * (X - np.swapaxes(X, -1, -2))
+
+
 def rotation_log(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Principal matrix logarithm of ``R`` in SO(m), as a skew matrix; a
     ``(..., m, m)`` stack gives the stack of logs.
 
     Raises `CutLocusError` when some rotation angle is within ``tol`` of pi:
-    there the principal log is not unique (or not defined) and the formula
-    below loses the plane's orientation.
+    there the principal log is not unique (or not defined) and the formulas
+    below lose the plane's orientation.  For m <= 3 the log is the skew
+    part scaled to norm ``theta`` (`plane_angle`); larger m scale the skew
+    action on each eigenvector of `angle_frame` to length ``theta``.
     """
+    R = np.asarray(R, dtype=float)
+    if _one_plane(R):
+        theta, sines, A = plane_angle(R)
+        _refuse_pi(theta, tol)
+        return A * (theta / np.maximum(sines, 1e-300))[..., None, None]
     theta, sines, W, AW = angle_frame(R)
-    if float(theta.max()) > math.pi - tol:
-        raise CutLocusError("rotation has an angle-pi block; log is not unique")
-    # scale the skew action on each eigenvector to length theta; where the
-    # action vanishes the log contribution is zero anyway
-    ratio = theta / np.maximum(sines, 1e-300)
-    X = (AW * ratio[..., None, :]) @ np.swapaxes(W, -1, -2)
-    return 0.5 * (X - np.swapaxes(X, -1, -2))
+    _refuse_pi(theta, tol)
+    return _frame_log(theta / np.maximum(sines, 1e-300), W, AW)
 
 
 def minimal_rotation_logs(R: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
@@ -149,26 +217,39 @@ def minimal_rotation_logs(R: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
 
     Off the cut locus this is the singleton principal log.  With exactly one
     angle-pi plane there are two minimal logs (the two orientations of that
-    plane).  Two or more pi-planes give a continuum, which is refused.
+    plane).  Two or more pi-planes give a continuum, which is refused.  The
+    pi-plane is spanned by eigenvectors of `angle_frame`, so every m goes
+    through its ``eigh`` here.
     """
     theta, sines, W, AW = angle_frame(R)
     at_pi = theta > math.pi - tol
-    if not at_pi.any():
-        return [rotation_log(R, tol)]
-    if int(at_pi.sum()) != 2:
+    if at_pi.any() and int(at_pi.sum()) != 2:
         raise CutLocusError("multiple angle-pi planes: continuum of minimal logs")
-    ratio = theta / np.maximum(sines, 1e-300)
-    ratio[at_pi] = 0.0
-    base = (AW * ratio) @ W.T
-    base = 0.5 * (base - base.T)
+    ratio = np.where(at_pi, 0.0, theta / np.maximum(sines, 1e-300))
+    base = _frame_log(ratio, W, AW)
+    if not at_pi.any():
+        return [base]
     wa, wb = W[:, at_pi].T
     plane = math.pi * (np.outer(wa, wb) - np.outer(wb, wa))
     return [base + plane, base - plane]
 
 
+def _sinc(x: float) -> float:
+    return math.sin(x) / x if x else 1.0
+
+
 def rotation_exp(X: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a skew matrix ``X``, landing in SO(m)."""
+    """Matrix exponential of a skew matrix ``X``, landing in SO(m).
+
+    For m <= 3, ``X`` turns a single plane by ``theta = sqrt(sum(X**2) / 2)``
+    and Rodrigues' formula ``I + sinc(theta) X + sinc(theta / 2)**2 X**2 / 2``
+    is exact; larger m go through the ``eigh`` of ``X X.T``.
+    """
     X = np.asarray(X, dtype=float)
+    if _one_plane(X):
+        theta = math.sqrt(0.5 * float(np.vdot(X, X)))
+        half = _sinc(0.5 * theta)
+        return np.eye(X.shape[-1]) + _sinc(theta) * X + (0.5 * half * half) * (X @ X)
     mu, W = np.linalg.eigh(X @ X.T)
     theta = np.sqrt(np.clip(mu, 0.0, None))
     cos_part = (W * np.cos(theta)) @ W.T

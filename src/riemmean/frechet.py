@@ -355,9 +355,11 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
     def distances(coords: np.ndarray) -> np.ndarray:
         return m._dist_block(coords, Q.coord_stack)
 
-    radii = [float(np.max(distances(q.coords))) for q in Q.points]
+    rows = [distances(q.coords) for q in Q.points]
+    radii = [float(np.max(d)) for d in rows]
     best_radius = min(radii)
-    best = Q.points[radii.index(best_radius)]
+    start = radii.index(best_radius)
+    best = Q.points[start]
     if best_radius < r_cx - margin:
         return Certificate(certified=True, center=best, radius=best_radius)
     # Any ball containing Q has radius >= diam(Q) / 2 (triangle inequality),
@@ -368,7 +370,8 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
         return Certificate(certified=False, center=best, radius=best_radius)
     coords = best.coords
     for it in range(1, 201):
-        d = distances(coords)
+        # the first pass already holds the starting centre's row
+        d = rows[start] if it == 1 else distances(coords)
         radius = float(np.max(d))
         if radius < best_radius:
             best_radius = radius

@@ -27,11 +27,13 @@ batched kernel pair over a stack of points of shape ``(K,) + shape``:
 ``_log_block(p, stack, tol)`` the K logs at ``p`` (stacked like the input)
 with their squared norms, raising `CutLocusError` when any row would.
 Karcher descent steps, the gradient field, the concentration certificate
-and every minimum over a group orbit go through these blocks.  SO(m) reads
-all relative rotation angles of a stack from one batched ``eigh`` (its
-per-point ``_log`` and ``_dist`` are blocks of one), and products slice the
-stack's column ranges into factor blocks.  This is the leading-batch-axis
-vectorization of Geomstats (Miolane et al., JMLR 2020).
+and every minimum over a group orbit go through these blocks.  SO(m) forms
+all relative rotations of a stack with one broadcast matmul and reads their
+angles in closed form for m <= 3, where each turns a single plane, or from
+one batched ``eigh`` for m >= 4 (its per-point ``_log`` and ``_dist`` are
+blocks of one); products slice the stack's column ranges into factor
+blocks.  This is the leading-batch-axis vectorization of Geomstats (Miolane
+et al., JMLR 2020).
 """
 
 from __future__ import annotations
@@ -42,7 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INF, MetricConstants, angle_frame, rotation_exp, rotation_log
+from .core import (
+    INF,
+    MetricConstants,
+    max_rotation_angle,
+    rotation_exp,
+    rotation_log,
+    rotation_norm,
+)
 from .errors import CutLocusError, InvalidInputError
 
 POINT_TOL = 1e-10
@@ -379,6 +388,13 @@ class SpecialOrthogonal(Manifold):
     ``sqrt(k)`` times the root-sum-square of the principal rotation angles of
     ``U.T Q``.  The cut locus of ``U`` consists of rotations whose relative
     angle reaches pi in some plane.
+
+    For m <= 3 a rotation turns a single plane, and the kernels use its
+    closed forms (`core.plane_angle`, Rodrigues' exp): the distance is
+    ``sqrt(k) * theta`` and the log the skew part scaled to norm ``theta``.
+    For m >= 4 they read the planes off a batched ``eigh``
+    (`core.angle_frame`).  Either way ``_in_cut_locus`` reads the angle as
+    ``_log`` does, so a point is in the cut locus iff ``_log`` refuses it.
     """
 
     def __init__(self, m: int, k: float = 1.0):
@@ -428,9 +444,11 @@ class SpecialOrthogonal(Manifold):
         return self.k * 0.5 * float(np.tensordot(X, Y))
 
     def _in_cut_locus(self, p, q, tol):
-        # tol is a distance; convert to an angle via the sqrt(k) scaling
-        theta = angle_frame(self._relative(p, q))[0]
-        return float(theta.max()) > math.pi - tol / math.sqrt(self.k)
+        # tol is a distance; convert to an angle via the sqrt(k) scaling.
+        # The angle is read as `rotation_log` reads it in _log_block, so a
+        # point is in the cut locus iff _log refuses it.
+        theta = max_rotation_angle(self._relative(p, q))
+        return theta > math.pi - tol / math.sqrt(self.k)
 
     def _project(self, p, ambient):
         X = p.T @ ambient
@@ -462,8 +480,7 @@ class SpecialOrthogonal(Manifold):
         return (p @ X).reshape(stack.shape), sq
 
     def _dist_block(self, p, stack):
-        theta = angle_frame(self._relative(p, stack))[0]
-        return np.sqrt(self.k * 0.5 * np.einsum("ki,ki->k", theta, theta))
+        return math.sqrt(self.k) * rotation_norm(self._relative(p, stack))
 
 
 class DiagPos(Manifold):

@@ -474,6 +474,39 @@ def test_certificate_diameter_exit_takes_no_refinement_step(manifold, monkeypatc
     assert cert.radius >= manifold.dist(p, Q.points[2]) / 2
 
 
+@pytest.mark.parametrize("rho", [1.0, math.pi / 2])
+def test_certificate_loop_starts_from_the_first_pass_row(rho, monkeypatch):
+    """Three points on a circle of radius ``rho`` around the north pole: no
+    data point certifies, and the loop either certifies a centre (rho = 1)
+    or stops at a cut locus (rho = pi/2).  The starting centre's distances
+    come from the first pass, so the loop computes one row per step it
+    took, and none at the start."""
+    sphere = Sphere(2)
+    pts = tuple(
+        sphere.point(
+            [math.sin(rho) * math.cos(a), math.sin(rho) * math.sin(a), math.cos(rho)]
+        )
+        for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+    )
+    calls = {"dist": 0, "exp": 0}
+    dist_block, exp = Sphere._dist_block, Sphere._exp
+
+    def counting_dist_block(self, coords, stack):
+        calls["dist"] += 1
+        return dist_block(self, coords, stack)
+
+    def counting_exp(self, coords, v):
+        calls["exp"] += 1
+        return exp(self, coords, v)
+
+    monkeypatch.setattr(Sphere, "_dist_block", counting_dist_block)
+    monkeypatch.setattr(Sphere, "_exp", counting_exp)
+    cert = afsari_certificate(Configuration(sphere, pts))
+    assert cert.certified == (rho < 1.5)
+    assert calls["exp"] > 0
+    assert calls["dist"] == len(pts) + calls["exp"]
+
+
 # -- forward directional derivative ---------------------------------------------
 
 
