@@ -372,7 +372,8 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
     for it in range(1, 201):
         # the first pass already holds the starting centre's row
         d = rows[start] if it == 1 else distances(coords)
-        radius = float(np.max(d))
+        far = int(np.argmax(d))
+        radius = float(d[far])
         if radius < best_radius:
             best_radius = radius
             best = Point(m.manifold_id, _frozen(coords))
@@ -380,9 +381,8 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
                 break
         if radius == 0.0:
             break
-        far = Q.points[int(np.argmax(d))]
         try:
-            v = m._log(coords, far.coords, CUT_TOL)
+            v = m._log(coords, Q.points[far].coords, CUT_TOL)
         except CutLocusError:
             break
         coords = m._exp(coords, v / (it + 1.0))

@@ -80,6 +80,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    # factor arrays (kernel results are float already) into one flat vector
+    return np.concatenate([p.ravel() for p in parts])
+
+
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{what} has a non-finite entry")
@@ -129,6 +134,8 @@ class Manifold:
 
     def _same_base(self, p: Point, v: Tangent) -> None:
         self._own(p)
+        if v.base is p:
+            return
         self._own(v.base)
         if not np.allclose(v.base.coords, p.coords, rtol=0.0, atol=1e-12):
             raise InvalidInputError("tangent vector is based at a different point")
@@ -410,6 +417,7 @@ class SpecialOrthogonal(Manifold):
         self.manifold_id = f"so:{m}:k={self.k!r}"
         sqrt_k = math.sqrt(self.k)
         self.constants = MetricConstants.from_bounds(sqrt_k * math.pi, 0.25 / self.k)
+        self._newton_eye = _frozen(1.5 * np.eye(m))
 
     def _check_coords(self, coords):
         if coords.shape != (self.m, self.m):
@@ -429,11 +437,11 @@ class SpecialOrthogonal(Manifold):
     def _exp(self, p, v):
         R = p @ rotation_exp(p.T @ v)
         # one Newton orthogonality step; exact no-op on orthogonal input
-        return R @ (1.5 * np.eye(self.m) - 0.5 * (R.T @ R))
+        return R @ (self._newton_eye - 0.5 * (R.T @ R))
 
     # a single point is a stack of one: `_relative` reshapes to (K, m, m)
     def _log(self, p, q, tol):
-        return self._log_block(p, q, tol)[0]
+        return self._log_rows(p, q, tol)[0]
 
     def _dist(self, p, q):
         return float(self._dist_block(p, q)[0])
@@ -441,7 +449,7 @@ class SpecialOrthogonal(Manifold):
     def _inner(self, p, u, v):
         X = p.T @ u
         Y = p.T @ v
-        return self.k * 0.5 * float(np.tensordot(X, Y))
+        return self.k * 0.5 * float(np.vdot(X, Y))
 
     def _in_cut_locus(self, p, q, tol):
         # tol is a distance; convert to an angle via the sqrt(k) scaling.
@@ -473,11 +481,15 @@ class SpecialOrthogonal(Manifold):
         # p.T @ Q_k for every Q_k of the stack, as one (K, m, m) array
         return p.T @ stack.reshape(-1, self.m, self.m)
 
-    def _log_block(self, p, stack, tol):
+    def _log_rows(self, p, stack, tol):
+        # logs at p of the stack's rows, and the skew matrices they come from;
         # the margin tol is a distance, as in _in_cut_locus
         X = rotation_log(self._relative(p, stack), tol / math.sqrt(self.k))
-        sq = self.k * 0.5 * np.einsum("kij,kij->k", X, X)
-        return (p @ X).reshape(stack.shape), sq
+        return (p @ X).reshape(stack.shape), X
+
+    def _log_block(self, p, stack, tol):
+        vecs, X = self._log_rows(p, stack, tol)
+        return vecs, self.k * 0.5 * np.einsum("kij,kij->k", X, X)
 
     def _dist_block(self, p, stack):
         return math.sqrt(self.k) * rotation_norm(self._relative(p, stack))
@@ -558,8 +570,9 @@ class Product(Manifold):
         self.manifold_id = "product(" + ";".join(f.manifold_id for f in factors) + ")"
         self._shapes = [f.shape for f in factors]
         self._sizes = [int(np.prod(s)) for s in self._shapes]
-        self._offsets = np.concatenate([[0], np.cumsum(self._sizes)])
-        self.shape = (int(self._offsets[-1]),)
+        ends = np.cumsum(self._sizes).tolist()
+        self._slices = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+        self.shape = (ends[-1],)
         r_inj = min(f.constants.r_inj for f in factors)
         deltas = [f.constants.delta_sup for f in factors]
         delta = max(deltas)
@@ -570,21 +583,17 @@ class Product(Manifold):
     def _split_block(self, stack: np.ndarray) -> list[np.ndarray]:
         """Factor blocks of a ``(K, D)`` stack: the column range of each
         factor, shaped ``(K,) + factor shape`` (views, no copies)."""
+        k = len(stack)
         return [
-            stack[:, self._offsets[i] : self._offsets[i + 1]].reshape(
-                (len(stack),) + self._shapes[i]
-            )
-            for i in range(len(self.factors))
+            stack[:, sl].reshape((k,) + shape)
+            for sl, shape in zip(self._slices, self._shapes)
         ]
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [
-            flat[self._offsets[i] : self._offsets[i + 1]].reshape(self._shapes[i])
-            for i in range(len(self.factors))
-        ]
+        return [flat[sl].reshape(shape) for sl, shape in zip(self._slices, self._shapes)]
 
     def join(self, parts: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+        return _join([np.asarray(p, dtype=float) for p in parts])
 
     def _check_coords(self, coords):
         if coords.shape != self.shape:
@@ -601,12 +610,12 @@ class Product(Manifold):
             f._check_tangent(Point(f.manifold_id, p_part), v_part)
 
     def _exp(self, p, v):
-        return self.join(
+        return _join(
             [f._exp(pp, vv) for f, pp, vv in zip(self.factors, self.split(p), self.split(v))]
         )
 
     def _log(self, p, q, tol):
-        return self.join(
+        return _join(
             [f._log(pp, qq, tol) for f, pp, qq in zip(self.factors, self.split(p), self.split(q))]
         )
 
@@ -648,7 +657,7 @@ class Product(Manifold):
         )
 
     def _project(self, p, ambient):
-        return self.join(
+        return _join(
             [
                 f._project(pp, aa)
                 for f, pp, aa in zip(self.factors, self.split(p), self.split(ambient))
@@ -668,7 +677,7 @@ class Product(Manifold):
         return out
 
     def _random_coords(self, rng):
-        return self.join([f._random_coords(rng) for f in self.factors])
+        return _join([f._random_coords(rng) for f in self.factors])
 
 
 def parse_manifold(spec: str) -> Manifold:

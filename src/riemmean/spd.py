@@ -17,6 +17,15 @@ Distances between eigendecompositions are measured in the product manifold
 Minimizers of the mean squared partial distance are computed by reduction
 to the equivariant mean machinery on the product cover; by construction
 they are determined only up to the group action.
+
+Each piece of this work is done once per matrix.  `eig_canonical` keeps its
+last `EIG_CACHE_SIZE` (16) decompositions, keyed on the matrix's bytes,
+shape and ``gap_tol``: enough for one lab trial's samples plus the fixed
+centre, which the ``d_sr`` rejection tests, ``psr_mean`` and ``d_psr``
+all decompose.  An `EigenPair` keeps the cover point `EigenPair.to_point`
+validated, per cover id, and `gm_action` the action per ``(m, k)``.  All
+three are immutable and a hit returns what a miss would compute from the
+same bytes, so no output changes; refusals are never cached.
 """
 
 from __future__ import annotations
@@ -35,6 +44,9 @@ from .manifolds import DiagPos, Point, Product, SpecialOrthogonal, _frozen
 
 GAP_TOL = 1e-8
 ORBIT_MATCH_TOL = 1e-7
+# decompositions kept by `eig_canonical`: one lab trial's samples plus the
+# fixed centre of `lab.run_psr_uniqueness`
+EIG_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,16 @@ class EigenPair:
         return (self.U * self.d) @ self.U.T
 
     def to_point(self, cover: Product) -> Point:
-        return cover.point(cover.join([self.U, self.d]))
+        """The pair as a validated point of ``cover``.  Built once per cover
+        id and kept on the pair: both are immutable."""
+        points = getattr(self, "_points", None)
+        if points is None:
+            points = {}
+            object.__setattr__(self, "_points", points)
+        p = points.get(cover.manifold_id)
+        if p is None:
+            p = points[cover.manifold_id] = cover.point(cover.join([self.U, self.d]))
+        return p
 
     @classmethod
     def from_point(cls, cover: Product, p: Point) -> "EigenPair":
@@ -164,8 +185,18 @@ def eig_canonical(S: np.ndarray, gap_tol: float = GAP_TOL) -> EigenPair:
     made positive, then the last column is negated if needed for det +1.
     Near-degenerate spectra (min gap < ``gap_tol``) are refused: their fiber
     is not a finite group orbit.
+
+    Memoised on the matrix's bytes, shape and ``gap_tol``: the last
+    `EIG_CACHE_SIZE` decompositions are kept and shared (the pair is
+    immutable).  Refusals raise on every call.
     """
-    S = spd_validate(S)
+    S = np.asarray(S, dtype=float)
+    return _eig_canonical(S.tobytes(), S.shape, gap_tol)
+
+
+@functools.lru_cache(maxsize=EIG_CACHE_SIZE)
+def _eig_canonical(data: bytes, shape: tuple[int, ...], gap_tol: float) -> EigenPair:
+    S = spd_validate(np.frombuffer(data).reshape(shape))
     U, lam = sym_eig(S)
     if np.min(lam) <= 0.0:
         raise InvalidInputError("matrix is not positive definite")
@@ -251,6 +282,10 @@ class _SignedPermutationAction(FiniteAction):
     def orbit_stack(self, p: Point) -> np.ndarray:
         self.cover._own(p)
         return self._images(p.coords, slice(None))
+
+    def orbit(self, p: Point) -> list[Point]:
+        # rows of one frozen product are themselves read-only
+        return [Point(p.manifold_id, row) for row in _frozen(self.orbit_stack(p))]
 
 
 def _int_key(M: np.ndarray) -> tuple[int, ...]:

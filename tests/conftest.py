@@ -11,8 +11,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
+from riemmean import spd
 from riemmean.manifolds import Manifold, Point, Tangent
+
+# C3's bound on the barycenter residual of a converged mean
+BARYCENTER_TOL = 1e-9
+
+
+@pytest.fixture(autouse=True)
+def cold_eig_cache():
+    """Every test starts with an empty `spd.eig_canonical` cache, so no
+    test's validation path depends on what an earlier test decomposed."""
+    spd._eig_canonical.cache_clear()
 
 
 def rng_for(tag: int) -> np.random.Generator:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from conftest import rng_for, sample_ball, sphere_grid_argmin
+from conftest import BARYCENTER_TOL, rng_for, sample_ball, sphere_grid_argmin
 from riemmean import equivariant
 from riemmean.equivariant import (
     FiniteAction,
@@ -18,8 +20,13 @@ from riemmean.equivariant import (
     quotient_dist,
     radius_relations,
 )
-from riemmean.errors import InvalidInputError, RadiusTooLargeError
-from riemmean.frechet import Configuration, frechet_mean, karcher_descent
+from riemmean.errors import (
+    DegenerateSpectrumError,
+    InvalidInputError,
+    NoConvergenceError,
+    RadiusTooLargeError,
+)
+from riemmean.frechet import Configuration, barycenter_check, frechet_mean, karcher_descent
 from riemmean.manifolds import Point, Sphere, _frozen
 from riemmean.spd import eig_canonical, gm_action, sample_spd
 
@@ -405,3 +412,46 @@ def test_radius_relations_large_displacement():
     rel = radius_relations(action)
     assert rel.r_inj == pytest.approx(sphere.constants.r_inj)
     assert rel.r_cx == pytest.approx(sphere.constants.r_cx)
+
+
+# -- every equivariant mean is a barycenter of its aligned lifts ---------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    group=st.sampled_from(["rp2", "gm2", "gm3"]),
+    k=st.sampled_from([0.25, 1.0, 4.0]),
+    size=st.integers(min_value=1, max_value=6),
+    sigma=st.sampled_from([0.3, 1.0, 2.0]),
+)
+def test_efm_solve_mean_is_a_barycenter_of_its_aligned_lifts(seed, group, k, size, sigma):
+    """On RP^2 (uniform data; ``k`` and ``sigma`` unused) and on the
+    eigendecomposition covers of m = 2, 3 (canonical lifts of SPD samples):
+    the representative `efm_solve` returns is a barycenter of its aligned
+    lifts within C3's bound, and each lift is its sample's orbit member
+    nearest the representative."""
+    rng = np.random.Generator(np.random.Philox(key=[0xEF3B, seed]))
+    if group == "rp2":
+        action = antipodal_action(Sphere(2))
+        Q = [QuotientPoint(action.cover.random_point(rng)) for _ in range(size)]
+    else:
+        m = int(group[-1])
+        action = gm_action(m, k)
+        Q = []
+        while len(Q) < size:
+            try:
+                pair = eig_canonical(sample_spd(rng, m, sigma))
+            except DegenerateSpectrumError:
+                continue
+            Q.append(QuotientPoint(pair.to_point(action.cover)))
+    try:
+        res = efm_solve(action, Q)
+    except NoConvergenceError:
+        reject()
+    cover = action.cover
+    rep = res.downstairs_mean.representative
+    lifts = Configuration(cover, tuple(res.aligned_lifts))
+    assert barycenter_check(lifts, rep)[0] < BARYCENTER_TOL
+    for q, lift in zip(Q, res.aligned_lifts):
+        assert cover.dist(rep, lift) <= action.orbit_dist(q.representative, rep) + 1e-12

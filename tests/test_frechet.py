@@ -2,11 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import rng_for, sample_ball, sphere_grid_argmin, random_tangent
-from riemmean.errors import CutLocusError, InvalidInputError, UnsupportedManifoldError
+from conftest import (
+    BARYCENTER_TOL,
+    random_tangent,
+    rng_for,
+    sample_ball,
+    sphere_grid_argmin,
+)
+from riemmean.errors import (
+    CutLocusError,
+    InvalidInputError,
+    NoConvergenceError,
+    UnsupportedManifoldError,
+)
 from riemmean.frechet import (
     BOUNDARY_UNCLASSIFIED,
     SHORT,
@@ -575,3 +586,47 @@ def test_configuration_requires_points():
     eu = Euclidean(1)
     with pytest.raises(InvalidInputError):
         Configuration(eu, ())
+
+
+# -- every mean is a barycenter ---------------------------------------------------
+
+BARYCENTER_KINDS = {
+    m.manifold_id: m
+    for m in [
+        Sphere(2),
+        SpecialOrthogonal(3, 0.25),
+        SpecialOrthogonal(3, 1.0),
+        SpecialOrthogonal(3, 4.0),
+        cover_manifold(2),
+        cover_manifold(3),
+    ]
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    name=st.sampled_from(sorted(BARYCENTER_KINDS)),
+    size=st.integers(min_value=1, max_value=6),
+    spread=st.sampled_from([None, 0.1, 0.5, 0.9]),
+)
+def test_frechet_mean_is_a_barycenter(seed, name, size, spread):
+    """Data spread over the whole manifold (``spread`` None) or in a ball of
+    ``spread * min(r_cx, 2)``: every mean `frechet_mean` returns is a
+    barycenter within C3's bound, by its own report and by an independent
+    `barycenter_check`."""
+    m = BARYCENTER_KINDS[name]
+    rng = np.random.Generator(np.random.Philox(key=[0xBA7C, seed]))
+    if spread is None:
+        pts = tuple(m.random_point(rng) for _ in range(size))
+    else:
+        center = m.random_point(rng)
+        radius = spread * min(m.constants.r_cx, 2.0)
+        pts = tuple(sample_ball(m, center, radius, rng) for _ in range(size))
+    Q = Configuration(m, pts)
+    try:
+        res = frechet_mean(Q)
+    except NoConvergenceError:
+        reject()
+    assert res.barycenter_residual < BARYCENTER_TOL
+    assert barycenter_check(Q, res.minimizer)[0] < BARYCENTER_TOL

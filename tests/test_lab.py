@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riemmean import lab
+from riemmean import lab, spd
 from riemmean.errors import InvalidInputError
 
 
@@ -202,6 +202,47 @@ def test_psr_uniqueness_run(tmp_path):
     assert extras["in_ball_count"] == "3"
     # completed trials obey the barycenter bound (10x solver tol)
     assert report.max_residual < 10.0 * cfg.tol
+
+
+PSR_CONFIGS = {
+    "psr_genericity": dict(m=2, sigma=0.6, restarts=1),
+    "psr_uniqueness": dict(m=2, radius=0.9 * math.pi / 8, restarts=3),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PSR_CONFIGS))
+def test_psr_artifacts_identical_with_cold_and_warm_cache(tmp_path, experiment):
+    """Two trials of four samples fit the eigendecomposition cache, so the
+    second run decomposes nothing afresh and must still write the same
+    bytes."""
+    cfg = make_cfg(
+        tmp_path, experiment=experiment, trials=2, sample_size=4,
+        **PSR_CONFIGS[experiment],
+    )
+    lab.run_experiment(cfg)
+    csv1 = (tmp_path / "t.csv").read_bytes()
+    sum1 = (tmp_path / "s.txt").read_bytes()
+    misses = spd._eig_canonical.cache_info().misses
+    lab.run_experiment(cfg)
+    assert spd._eig_canonical.cache_info().misses == misses
+    assert (tmp_path / "t.csv").read_bytes() == csv1
+    assert (tmp_path / "s.txt").read_bytes() == sum1
+
+
+@pytest.mark.parametrize("experiment", sorted(PSR_CONFIGS))
+def test_psr_repeat_run_replays_no_cached_samples(tmp_path, experiment):
+    """A run over more matrices than the cache holds evicts its first
+    trials' samples before it ends, so an identical second run misses as
+    often as the first; only psr_uniqueness's fixed centre stays cached."""
+    cfg = make_cfg(
+        tmp_path, experiment=experiment, trials=3, sample_size=10,
+        **PSR_CONFIGS[experiment],
+    )
+    lab.run_experiment(cfg)
+    first = spd._eig_canonical.cache_info().misses
+    lab.run_experiment(cfg)
+    second = spd._eig_canonical.cache_info().misses - first
+    assert second == first - (experiment == "psr_uniqueness")
 
 
 def test_psr_uniqueness_radius_guard(tmp_path):

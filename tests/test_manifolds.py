@@ -11,10 +11,12 @@ from riemmean.errors import CutLocusError, InvalidInputError
 from riemmean.manifolds import (
     DiagPos,
     Euclidean,
+    Point,
     Product,
     Sphere,
     SpecialOrthogonal,
     parse_manifold,
+    _frozen,
     quasi_random_points,
 )
 from riemmean.spd import cover_manifold
@@ -74,6 +76,23 @@ def test_non_finite_tangent_rejected(m):
     vec.flat[-1] = math.nan
     with pytest.raises(InvalidInputError, match="non-finite"):
         m.tangent(p, vec)
+
+
+def test_tangent_base_is_compared_by_value():
+    """A tangent based at an equal but distinct Point is accepted; one based
+    at another point is refused, also when it is equally valid there."""
+    sph = Sphere(2)
+    p = sph.point([1.0, 0.0, 0.0])
+    twin = Point(p.manifold_id, _frozen(p.coords))
+    assert twin is not p
+    v = sph.tangent(twin, [0.0, 0.3, 0.0])
+    assert np.array_equal(sph.exp(p, v).coords, sph.exp(twin, v).coords)
+    assert sph.inner(p, v, v) == pytest.approx(0.09)
+    elsewhere = sph.point([0.0, 0.0, 1.0])
+    with pytest.raises(InvalidInputError, match="different point"):
+        sph.exp(elsewhere, v)
+    with pytest.raises(InvalidInputError, match="different point"):
+        sph.inner(elsewhere, v, sph.zero_tangent(elsewhere))
 
 
 def test_manifold_mismatch_rejected():
@@ -374,3 +393,22 @@ def test_exp_of_log_returns_to_the_point(seed, name, offset):
     v = m.log(p, q)
     assert m.dist(m.exp(p, v), q) < 1e-9
     assert abs(m.norm(p, v) - m.dist(p, q)) < 1e-10
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.sampled_from([2, 3, 4]),
+    k=st.sampled_from([0.25, 1.0, 4.0]),
+    scales=st.tuples(*[st.sampled_from([1e-8, 1e-3, 1.0, 3.0])] * 2),
+)
+def test_so_inner_equals_its_tensordot_form_exactly(seed, m, k, scales):
+    """`SpecialOrthogonal._inner` reads tr(X.T Y) with `np.vdot`; its
+    rounding feeds objectives and lab artifacts, so it must equal the
+    `np.tensordot` form bit for bit."""
+    so = SpecialOrthogonal(m, k)
+    rng = np.random.Generator(np.random.Philox(key=[0x1AAE, seed]))
+    p = so.random_point(rng)
+    u, v = (random_tangent(so, p, rng, scale=s).vec for s in scales)
+    X, Y = p.coords.T @ u, p.coords.T @ v
+    assert so._inner(p.coords, u, v) == so.k * 0.5 * float(np.tensordot(X, Y))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rng_for, sample_ball
+from riemmean import spd
 from riemmean.equivariant import QuotientPoint, d_evt, efm_objective
 from riemmean.errors import DegenerateSpectrumError, InvalidInputError
 from riemmean.frechet import Configuration, barycenter_check
@@ -165,6 +166,81 @@ def test_eig_canonical_deterministic_sign():
             if col is not None:
                 first = col[np.nonzero(np.abs(col) > 1e-12)[0][0]]
                 assert first > 0.0
+
+
+def test_eig_canonical_deterministic_sign_cold_cache():
+    """`test_eig_canonical_deterministic_sign` with the cache emptied between
+    the two calls, so the second decomposition is computed afresh."""
+    rng = rng_for(92)
+    for _ in range(50):
+        S = sample_spd(rng, 3, 0.8)
+        try:
+            pair = eig_canonical(S)
+        except DegenerateSpectrumError:
+            continue
+        spd._eig_canonical.cache_clear()
+        again = eig_canonical(S.copy())
+        assert again is not pair
+        assert np.array_equal(pair.U, again.U)
+        assert np.array_equal(pair.d, again.d)
+
+
+def test_eig_canonical_cache_shares_pairs_and_is_bounded():
+    S = np.array([[2.0, 0.3], [0.3, 1.0]])
+    pair = eig_canonical(S)
+    assert eig_canonical(S.copy()) is pair
+    assert eig_canonical(S.tolist()) is pair
+    rng = rng_for(93)
+    for _ in range(spd.EIG_CACHE_SIZE):
+        eig_canonical(sample_spd(rng, 2, 0.5))
+    assert spd._eig_canonical.cache_info().currsize == spd.EIG_CACHE_SIZE
+    again = eig_canonical(S)
+    assert again is not pair
+    assert np.array_equal(again.U, pair.U) and np.array_equal(again.d, pair.d)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.eye(2), DegenerateSpectrumError),
+        (np.diag([1.0, -1.0]), InvalidInputError),
+        (np.array([[1.0, math.nan], [math.nan, 1.0]]), InvalidInputError),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), InvalidInputError),
+    ],
+    ids=["degenerate", "indefinite", "non_finite", "asymmetric"],
+)
+def test_eig_canonical_refusals_are_not_cached(bad, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            eig_canonical(bad)
+    assert spd._eig_canonical.cache_info().currsize == 0
+
+
+def test_eig_canonical_cache_keys_on_gap_tol():
+    """A pair cached under a small gap_tol is not returned for a larger one,
+    which refuses the same matrix."""
+    S = np.diag([2.0, 1.5])
+    pair = eig_canonical(S, gap_tol=0.1)
+    assert pair.d.tolist() == [2.0, 1.5]
+    with pytest.raises(DegenerateSpectrumError):
+        eig_canonical(S, gap_tol=1.0)
+    assert eig_canonical(S, gap_tol=0.1) is pair
+
+
+@pytest.mark.parametrize("k", [1.0, 4.0])
+def test_to_point_is_built_once_per_cover(k):
+    pair = eig_canonical(np.array([[3.0, 0.4], [0.4, 1.0]]))
+    cover = cover_manifold(2, k)
+    p = pair.to_point(cover)
+    assert p.manifold_id == cover.manifold_id
+    assert np.array_equal(p.coords, cover.join([pair.U, pair.d]))
+    assert pair.to_point(cover) is p
+    assert pair.to_point(cover_manifold(2, k)) is p
+    other = pair.to_point(cover_manifold(2, 0.25))
+    assert other.manifold_id != p.manifold_id
+    assert np.array_equal(other.coords, p.coords)
+    round_trip = EigenPair.from_point(cover, p)
+    assert np.array_equal(round_trip.U, pair.U) and np.array_equal(round_trip.d, pair.d)
 
 
 def test_eig_canonical_rejects_nonspd():
