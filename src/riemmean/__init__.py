@@ -28,6 +28,7 @@ from .frechet import (
     Configuration,
     MeanResult,
     afsari_certificate,
+    afsari_certified,
     barycenter_check,
     forward_directional_derivative,
     frechet_mean,

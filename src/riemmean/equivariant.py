@@ -55,6 +55,19 @@ class QuotientPoint:
 
     representative: Point
 
+    def orbit_stack(self, action: "FiniteAction") -> np.ndarray:
+        """The representative's orbit under ``action``, stacked in element
+        order and read-only.  Built once per action and kept on the point,
+        as `Configuration.coord_stack` keeps its stack: both are immutable."""
+        stacks = getattr(self, "_orbit_stacks", None)
+        if stacks is None:
+            stacks = {}
+            object.__setattr__(self, "_orbit_stacks", stacks)
+        stack = stacks.get(action)
+        if stack is None:
+            stack = stacks[action] = _frozen(action.orbit_stack(self.representative))
+        return stack
+
 
 @dataclass(frozen=True)
 class BetaEstimate:
@@ -74,9 +87,13 @@ class QuotientConstants:
 @dataclass(frozen=True)
 class EfmResult:
     """Outcome of `efm_solve`.  ``objective``, ``alignment`` and
-    ``aligned_lifts`` come from the orbit scan at the minimizer that ended
-    the last outer iteration; ``inner_iterations`` sums the accepted
-    iterations of the inner Karcher solves."""
+    ``aligned_lifts`` come from the orbit scan at the minimizer, the one
+    that repeated the alignment it was solved with; ``inner_iterations``
+    sums the accepted iterations of the inner Karcher solves.
+    ``outer_iterations`` counts the Karcher solves plus one confirming
+    pass: re-solving the repeated alignment from its own minimizer takes 0
+    steps and rescans to the same result, so that pass is read off the
+    state already held."""
 
     orbit: list[Point]
     downstairs_mean: QuotientPoint
@@ -235,28 +252,42 @@ def efm_solve(
     """Minimize the orbit-distance objective by alternating alignment and a
     Karcher-mean step on the cover.
 
-    Convergence is declared when the per-outer-iteration objective decrease
-    falls below ``tol`` with the alignment stable for two consecutive
-    iterations.  The objective is nonincreasing across outer iterations.
-    Returns one minimizer together with its full orbit; the orbit projects
-    to a single quotient point, the downstairs mean.
+    Each outer iteration solves the Karcher mean of the lifts its alignment
+    picks, starting from the current point, and rescans the orbits at the
+    minimizer (`_scan_orbits`).  The solve stops at the scan that returns
+    the alignment just solved with: the next iteration would re-solve the
+    same lifts from their own minimizer, take 0 steps and repeat the scan,
+    so its objective decrease is exactly 0.  That confirming pass is counted
+    in ``outer_iterations`` but not run.  A non-finite objective is never
+    confirmed, so it ends in `NoConvergenceError`.  The objective is
+    nonincreasing across outer iterations.  Returns one
+    minimizer together with its full orbit; the orbit projects to a single
+    quotient point, the downstairs mean.
 
-    Each orbit scan (`_scan_orbits`) serves twice: the scan that ends an
-    outer iteration gives both its objective and the next iteration's
-    alignment, and the last one gives the reported objective and alignment.
-    The initial point keeps the scan it was chosen by, so a solve makes
-    ``outer_iterations + N`` scans (``outer_iterations + 1`` with ``init``).
+    ``tol`` and ``inner_tol`` must be finite and positive.  ``inner_tol``
+    is the Karcher gradient tolerance.  ``tol`` bounds the objective
+    decrease of the confirming pass; that decrease is exactly 0, so no
+    valid ``tol`` changes the result.
+
+    Each orbit scan serves twice: it gives the objective at its minimizer
+    and the alignment of the next solve.  The initial point keeps the scan
+    it was chosen by, so a solve makes ``outer_iterations - 1 + N`` scans
+    (``outer_iterations`` with ``init``) and ``outer_iterations - 1``
+    Karcher solves.  Each sample's orbit stack is built once per action
+    (`QuotientPoint.orbit_stack`) and the lifts are read-only views of it.
     """
+    for name, value in (("tol", tol), ("inner_tol", inner_tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
     Q = list(Q)
     if not Q:
         raise InvalidInputError("need at least one quotient point")
     cover = action.cover
-    orbits = np.stack([action.orbit_stack(q.representative) for q in Q])
+    orbits = np.stack([q.orbit_stack(action) for q in Q])
+    orbits.flags.writeable = False
 
     def lift_points(idx):
-        return [
-            Point(cover.manifold_id, _frozen(orbits[i, j])) for i, j in enumerate(idx)
-        ]
+        return [Point(cover.manifold_id, orbits[i, j]) for i, j in enumerate(idx)]
 
     def scan(coords):
         idx, dists = _scan_orbits(cover, orbits, coords)
@@ -270,25 +301,22 @@ def efm_solve(
         )
     else:
         p, (idx, f) = init, scan(init.coords)
-    prev_alignment: list[int] | None = None
-    stable = 0
+    alignment: list[int] | None = None
     inner_done = 0
     for outer in range(1, max_outer + 1):
-        stable = stable + 1 if idx == prev_alignment else 1
-        prev_alignment = idx
+        if idx == alignment and math.isfinite(f):
+            break
+        alignment = idx
         try:
             step = karcher_descent(
-                Configuration(cover, tuple(lift_points(idx))), p,
+                Configuration(cover, tuple(lift_points(alignment))), p,
                 tol=inner_tol, certify=False,
             )
         except (CutLocusError, MaxIterExceededError) as exc:
             raise NoConvergenceError(f"inner Karcher solve failed: {exc}") from exc
         inner_done += step.iterations
         p = step.minimizer
-        f_prev = f
         idx, f = scan(p.coords)
-        if f_prev - f < tol and stable >= 2:
-            break
     else:
         raise NoConvergenceError(f"no convergence in {max_outer} outer iterations")
     return EfmResult(

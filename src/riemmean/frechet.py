@@ -258,8 +258,8 @@ def frechet_mean(
     within ``10 * tol`` of the best, the lexicographically smallest
     coordinate vector is reported.  The reported ``objective`` is that
     ranking value, and ``barycenter_residual``, ``classification`` and
-    ``afsari_certified`` come from one `barycenter_check` and one
-    `afsari_certificate` of the chosen minimizer.
+    ``afsari_certified`` come from one `barycenter_check` of the chosen
+    minimizer and one `afsari_certified` of the data.
     """
     m = Q.manifold
     seeds: list[Point] = list(Q.points)
@@ -295,7 +295,7 @@ def frechet_mean(
         grad_norm=chosen.grad_norm,
         iterations=chosen.iterations,
         multistart_agreement=agreement,
-        afsari_certified=afsari_certificate(Q).certified,
+        afsari_certified=afsari_certified(Q),
         barycenter_residual=residual,
         classification=classification,
     )
@@ -327,6 +327,53 @@ def barycenter_check(
     mean = np.mean(vecs, axis=0) if len(vecs) > 1 else vecs[0]
     residual = math.sqrt(max(m._inner(p.coords, mean, mean), 0.0))
     return residual, (BOUNDARY_UNCLASSIFIED if boundary else SHORT)
+
+
+# a triple product of unit vectors is computed to within a few ulps, far
+# inside this; a smaller one is not trusted for its sign
+HEMISPHERE_TOL = 1e-12
+
+
+def _no_open_hemisphere(m: Manifold, stack: np.ndarray) -> bool:
+    """True only if no open hemisphere of ``m = Sphere(2)`` holds the data
+    ``stack``; False also when the test cannot tell, and off S^2.
+
+    Proof.  Let C = {v : <v, q_k> >= 0 for all k}, a closed convex cone.
+    An open hemisphere {<v, .> > 0} holds the data iff v is interior to C.
+    If the data span R^3, C is pointed, so when it has interior it is the
+    cone over its extreme rays, each of which lies on two independent
+    faces q_i^perp and q_j^perp: it is +-(q_i x q_j).  So if every such
+    candidate c has a data point with <c, q_k> < 0, C has no interior.
+    The test demands <c, q_k> < -HEMISPHERE_TOL, which rounding cannot
+    fake.  A candidate that passes it also proves that the data span R^3;
+    a near-parallel pair, whose cross product is tiny, or data on one great
+    circle, whose candidates are orthogonal to every point, make some
+    candidate fail it and the test answer False.
+    """
+    if not (isinstance(m, Sphere) and m.n == 2) or len(stack) < 3:
+        return False
+    i, j = np.triu_indices(len(stack), 1)
+    triple = np.cross(stack[i], stack[j]) @ stack.T
+    # +c needs a point below -tol, -c a point above +tol
+    return bool(
+        (triple.min(axis=1) < -HEMISPHERE_TOL).all()
+        and (triple.max(axis=1) > HEMISPHERE_TOL).all()
+    )
+
+
+def afsari_certified(Q: Configuration, margin: float = 1e-9) -> bool:
+    """``afsari_certificate(Q, margin).certified``, answered without the
+    certificate when no open hemisphere of S^2 holds the data.
+
+    On ``Sphere(2)``, ``r_cx = pi / 2``.  If no open hemisphere holds Q,
+    every centre has a data point at distance >= pi / 2, so no ball of
+    radius below ``r_cx - margin`` holds Q and the flag is False.  Callers
+    that need only the flag use this; ``riemmean certify`` prints the
+    certificate's centre and radius, so it keeps the full search.
+    """
+    if _no_open_hemisphere(Q.manifold, Q.coord_stack):
+        return False
+    return afsari_certificate(Q, margin).certified
 
 
 def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:

@@ -196,7 +196,28 @@ def suite_equivariant() -> list[Check]:
                 < 1e-8
             )
     checks.append(("even-cover equivariance and projection", ok))
+    # efm_solve's stop rule: re-solving an alignment from its own minimizer
+    # takes 0 inner steps and repeats the scan
+    ok = True
+    for efm_action, pts in ((action, pts), _psr_quotient_points(rng)):
+        efm = eqv.efm_solve(efm_action, pts)
+        again = eqv.efm_solve(efm_action, pts, init=efm.downstairs_mean.representative)
+        ok &= again.inner_iterations == 0 and again.outer_iterations == 2
+        ok &= again.objective == efm.objective and again.alignment == efm.alignment
+    checks.append(("efm_solve restarted at its minimizer takes 0 steps", ok))
     return checks
+
+
+def _psr_quotient_points(rng) -> tuple:
+    action = spd.gm_action(2, 1.0)
+    pts = []
+    while len(pts) < 6:
+        try:
+            pair = spd.eig_canonical(spd.sample_spd(rng, 2, 0.8))
+        except spd.DegenerateSpectrumError:
+            continue
+        pts.append(eqv.QuotientPoint(pair.to_point(action.cover)))
+    return action, pts
 
 
 def suite_spd() -> list[Check]:

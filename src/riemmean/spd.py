@@ -156,8 +156,9 @@ def act(h: SignedPermutation, pair: EigenPair) -> EigenPair:
     return EigenPair(pair.U @ M.T, new_d)
 
 
-def spd_validate(S: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
-    """Check symmetry and positive-definiteness; returns the array."""
+def _symmetric(S: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
+    """Check that ``S`` is a finite square matrix, symmetric within
+    ``sym_tol``; returns the array."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got {S.shape}")
@@ -165,6 +166,12 @@ def spd_validate(S: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
         raise InvalidInputError("matrix has a non-finite entry")
     if np.max(np.abs(S - S.T)) > sym_tol:
         raise InvalidInputError("matrix is not symmetric within tolerance")
+    return S
+
+
+def spd_validate(S: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
+    """Check symmetry and positive-definiteness; returns the array."""
+    S = _symmetric(S, sym_tol)
     if np.min(np.linalg.eigvalsh(S)) <= 0.0:
         raise InvalidInputError("matrix is not positive definite")
     return S
@@ -186,9 +193,12 @@ def eig_canonical(S: np.ndarray, gap_tol: float = GAP_TOL) -> EigenPair:
     Near-degenerate spectra (min gap < ``gap_tol``) are refused: their fiber
     is not a finite group orbit.
 
-    Memoised on the matrix's bytes, shape and ``gap_tol``: the last
-    `EIG_CACHE_SIZE` decompositions are kept and shared (the pair is
-    immutable).  Refusals raise on every call.
+    Validates ``S`` as `spd_validate` does, with the same refusals, but
+    takes the positive-definiteness test from the decomposition's own
+    eigenvalues: one eigensolve per matrix.  Memoised on the matrix's
+    bytes, shape and ``gap_tol``: the last `EIG_CACHE_SIZE` decompositions
+    are kept and shared (the pair is immutable).  Refusals raise on every
+    call.
     """
     S = np.asarray(S, dtype=float)
     return _eig_canonical(S.tobytes(), S.shape, gap_tol)
@@ -196,11 +206,10 @@ def eig_canonical(S: np.ndarray, gap_tol: float = GAP_TOL) -> EigenPair:
 
 @functools.lru_cache(maxsize=EIG_CACHE_SIZE)
 def _eig_canonical(data: bytes, shape: tuple[int, ...], gap_tol: float) -> EigenPair:
-    S = spd_validate(np.frombuffer(data).reshape(shape))
-    U, lam = sym_eig(S)
+    U, lam = sym_eig(_symmetric(np.frombuffer(data).reshape(shape)))
     if np.min(lam) <= 0.0:
         raise InvalidInputError("matrix is not positive definite")
-    if S.shape[0] >= 2 and float(np.min(lam[:-1] - lam[1:])) < gap_tol:
+    if len(lam) >= 2 and float(np.min(lam[:-1] - lam[1:])) < gap_tol:
         raise DegenerateSpectrumError(
             f"eigen-gap below {gap_tol}: fiber is not a finite orbit"
         )
@@ -353,13 +362,23 @@ def psr_mean(
     """
     if not samples:
         raise InvalidInputError("need at least one sample")
-    samples = [spd_validate(S) for S in samples]
-    m = samples[0].shape[0]
-    if any(S.shape[0] != m for S in samples):
+    # eig_canonical validates each sample; a narrow spectrum is reported
+    # only once every sample is valid and all sizes agree
+    canons: list[EigenPair] = []
+    narrow: DegenerateSpectrumError | None = None
+    for S in samples:
+        try:
+            canons.append(eig_canonical(S, gap_tol))
+        except DegenerateSpectrumError as exc:
+            narrow = narrow or exc
+    m = np.shape(samples[0])[0]
+    if any(np.shape(S)[0] != m for S in samples):
         raise InvalidInputError("samples have mixed sizes")
-    canons = [eig_canonical(S, gap_tol) for S in samples]
+    if narrow is not None:
+        raise narrow
     action = gm_action(m, k)
     cover = action.cover
+    # each sample's orbit stack is built once, for all 1 + restarts solves
     Q = [QuotientPoint(c.to_point(cover)) for c in canons]
     base = efm_solve(action, Q, tol=tol)
     rep_point = base.downstairs_mean.representative

@@ -21,8 +21,10 @@ from riemmean.equivariant import (
     radius_relations,
 )
 from riemmean.errors import (
+    CutLocusError,
     DegenerateSpectrumError,
     InvalidInputError,
+    MaxIterExceededError,
     NoConvergenceError,
     RadiusTooLargeError,
 )
@@ -271,8 +273,9 @@ def efm_cases():
 @pytest.mark.parametrize("case", [0, 1], ids=["rp2", "psr_m2"])
 @pytest.mark.parametrize("from_init", [False, True], ids=["samples", "init"])
 def test_efm_scans_each_orbit_stack_once_per_outer_step(monkeypatch, case, from_init):
-    """One scan per outer iteration, plus one per candidate start: the N
-    sample representatives, or the given init."""
+    """One scan per Karcher solve, plus one per candidate start: the N
+    sample representatives, or the given init.  The confirming outer
+    iteration runs no scan of its own."""
     action, Q = efm_cases()[case]
     calls = []
 
@@ -283,7 +286,7 @@ def test_efm_scans_each_orbit_stack_once_per_outer_step(monkeypatch, case, from_
     monkeypatch.setattr(equivariant, "_scan_orbits", counting_scan)
     init = action.apply(action.elements[1], Q[2].representative) if from_init else None
     res = efm_solve(action, Q, init=init)
-    assert len(calls) == res.outer_iterations + (1 if from_init else len(Q))
+    assert len(calls) == res.outer_iterations - 1 + (1 if from_init else len(Q))
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["rp2", "psr_m2"])
@@ -298,8 +301,122 @@ def test_efm_inner_iterations_sum_the_karcher_solves(monkeypatch, case):
 
     monkeypatch.setattr(equivariant, "karcher_descent", counting_descent)
     res = efm_solve(action, Q)
-    assert len(done) == res.outer_iterations
+    assert len(done) == res.outer_iterations - 1
     assert res.inner_iterations == sum(done) > 0
+
+
+@pytest.mark.parametrize("name", ["tol", "inner_tol"])
+@pytest.mark.parametrize("value", [0.0, -1e-10, math.nan, math.inf, -math.inf])
+def test_efm_solve_refuses_bad_tolerances(rp2, name, value):
+    sphere, action = rp2
+    Q = [QuotientPoint(sphere.point([0.0, 0.0, 1.0]))]
+    with pytest.raises(InvalidInputError, match=f"^{name} must be finite and positive"):
+        efm_solve(action, Q, **{name: value})
+
+
+def efm_solve_before_the_stop_rule(action, Q, tol=1e-10, max_outer=500, inner_tol=1e-11, init=None):
+    """The outer loop as it stood before it stopped at the repeated
+    alignment: it ran the confirming pass (a Karcher solve and a scan) and
+    stopped once the objective decrease fell below ``tol`` with the
+    alignment stable for two iterations.  Returns the objective, alignment
+    indices, outer and inner iteration counts and the orbit stack."""
+    cover = action.cover
+    orbits = np.stack([action.orbit_stack(q.representative) for q in Q])
+
+    def lift_points(idx):
+        return [Point(cover.manifold_id, _frozen(orbits[i, j])) for i, j in enumerate(idx)]
+
+    def scan(coords):
+        idx, dists = _scan_orbits(cover, orbits, coords)
+        return idx, float(np.mean(np.square(dists)))
+
+    if init is None:
+        p, (idx, f) = min(
+            ((q.representative, scan(q.representative.coords)) for q in Q),
+            key=lambda entry: entry[1][1],
+        )
+    else:
+        p, (idx, f) = init, scan(init.coords)
+    prev_alignment = None
+    stable = 0
+    inner_done = 0
+    for outer in range(1, max_outer + 1):
+        stable = stable + 1 if idx == prev_alignment else 1
+        prev_alignment = idx
+        step = karcher_descent(
+            Configuration(cover, tuple(lift_points(idx))), p, tol=inner_tol, certify=False
+        )
+        inner_done += step.iterations
+        p = step.minimizer
+        f_prev = f
+        idx, f = scan(p.coords)
+        if f_prev - f < tol and stable >= 2:
+            break
+    else:
+        raise NoConvergenceError(f"no convergence in {max_outer} outer iterations")
+    return f, idx, outer, inner_done, np.stack([q.coords for q in action.orbit(p)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    group=st.sampled_from(["rp2", "gm2", "gm3"]),
+    k=st.sampled_from([0.25, 1.0, 4.0]),
+    size=st.integers(min_value=1, max_value=6),
+    sigma=st.sampled_from([0.3, 1.0, 2.0]),
+    from_init=st.booleans(),
+)
+def test_efm_solve_matches_the_loop_before_the_stop_rule(seed, group, k, size, sigma, from_init):
+    """Stopping at the scan that repeats the alignment changes nothing the
+    solve reports: objective, alignment, both iteration counts and the
+    orbit are bitwise those of the loop that ran the confirming pass."""
+    rng = np.random.Generator(np.random.Philox(key=[0xEF5A, seed]))
+    action, Q = efm_data(rng, group, k, size, sigma)
+    init = None
+    if from_init:
+        h = action.elements[int(rng.integers(action.order))]
+        init = action.apply(h, Q[int(rng.integers(size))].representative)
+    try:
+        expected = efm_solve_before_the_stop_rule(action, Q, init=init)
+    except (NoConvergenceError, CutLocusError, MaxIterExceededError):
+        with pytest.raises(NoConvergenceError):
+            efm_solve(action, Q, init=init)
+        return
+    res = efm_solve(action, Q, init=init)
+    f, idx, outer, inner, orbit = expected
+    assert res.objective == f
+    assert [h.index for h in res.alignment] == idx
+    assert res.outer_iterations == outer
+    assert res.inner_iterations == inner
+    assert np.array_equal(np.stack([q.coords for q in res.orbit]), orbit)
+
+
+def test_efm_solve_lifts_are_read_only_views_of_one_orbit_stack(rp2):
+    """Each quotient point keeps one read-only orbit stack per action, and
+    the aligned lifts are views of those stacks."""
+    sphere, action = rp2
+    rng = rng_for(88)
+    Q = [QuotientPoint(sphere.random_point(rng)) for _ in range(5)]
+    res = efm_solve(action, Q)
+    stacks = [q.orbit_stack(action) for q in Q]
+    for q, stack, lift, h in zip(Q, stacks, res.aligned_lifts, res.alignment):
+        assert q.orbit_stack(action) is stack
+        assert np.array_equal(stack, action.orbit_stack(q.representative))
+        assert not stack.flags.writeable and not lift.coords.flags.writeable
+        assert lift.coords.base is not None
+        assert np.array_equal(lift.coords, stack[h.index])
+    # a half turn about the z axis: the same cover, another orbit
+    half_turn = FiniteAction(
+        cover=sphere,
+        labels=["e", "half_turn"],
+        apply_fn=lambda i, p: p if i == 0 else Point(p.manifold_id, _frozen(p.coords * [-1, -1, 1])),
+        compose_table=np.array([[0, 1], [1, 0]]),
+        inverse_table=np.array([0, 1]),
+    )
+    turned = Q[0].orbit_stack(half_turn)
+    assert np.array_equal(turned, half_turn.orbit_stack(Q[0].representative))
+    assert not np.array_equal(turned, stacks[0])
+    assert Q[0].orbit_stack(action) is stacks[0]
 
 
 # -- even_cover_lifts ---------------------------------------------------------------
@@ -417,6 +534,25 @@ def test_radius_relations_large_displacement():
 # -- every equivariant mean is a barycenter of its aligned lifts ---------------------
 
 
+def efm_data(rng, group, k, size, sigma):
+    """``size`` quotient points: uniform on RP^2 (``k`` and ``sigma``
+    unused), or canonical lifts of SPD samples on the eigendecomposition
+    cover of m = 2, 3."""
+    if group == "rp2":
+        action = antipodal_action(Sphere(2))
+        return action, [QuotientPoint(action.cover.random_point(rng)) for _ in range(size)]
+    m = int(group[-1])
+    action = gm_action(m, k)
+    Q = []
+    while len(Q) < size:
+        try:
+            pair = eig_canonical(sample_spd(rng, m, sigma))
+        except DegenerateSpectrumError:
+            continue
+        Q.append(QuotientPoint(pair.to_point(action.cover)))
+    return action, Q
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -432,19 +568,7 @@ def test_efm_solve_mean_is_a_barycenter_of_its_aligned_lifts(seed, group, k, siz
     lifts within C3's bound, and each lift is its sample's orbit member
     nearest the representative."""
     rng = np.random.Generator(np.random.Philox(key=[0xEF3B, seed]))
-    if group == "rp2":
-        action = antipodal_action(Sphere(2))
-        Q = [QuotientPoint(action.cover.random_point(rng)) for _ in range(size)]
-    else:
-        m = int(group[-1])
-        action = gm_action(m, k)
-        Q = []
-        while len(Q) < size:
-            try:
-                pair = eig_canonical(sample_spd(rng, m, sigma))
-            except DegenerateSpectrumError:
-                continue
-            Q.append(QuotientPoint(pair.to_point(action.cover)))
+    action, Q = efm_data(rng, group, k, size, sigma)
     try:
         res = efm_solve(action, Q)
     except NoConvergenceError:

@@ -22,7 +22,9 @@ from riemmean.frechet import (
     BOUNDARY_UNCLASSIFIED,
     SHORT,
     Configuration,
+    _no_open_hemisphere,
     afsari_certificate,
+    afsari_certified,
     barycenter_check,
     forward_directional_derivative,
     frechet_mean,
@@ -516,6 +518,77 @@ def test_certificate_loop_starts_from_the_first_pass_row(rho, monkeypatch):
     assert cert.certified == (rho < 1.5)
     assert calls["exp"] > 0
     assert calls["dist"] == len(pts) + calls["exp"]
+
+
+def tetrahedron():
+    """The vertices of a regular tetrahedron: the origin is their centroid,
+    yet every pair is 1.91 apart, so the diameter decides nothing."""
+    sphere = Sphere(2)
+    verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    return sphere, tuple(sphere.point(v) for v in verts)
+
+
+def test_no_open_hemisphere_decides_only_what_it_can_prove():
+    sphere, tet = tetrahedron()
+    assert _no_open_hemisphere(sphere, np.stack([q.coords for q in tet]))
+    north = [
+        sphere.point([math.sin(1.5) * math.cos(a), math.sin(1.5) * math.sin(a), math.cos(1.5)])
+        for a in (0.0, 2.0, 4.0)
+    ]
+    # no open hemisphere holds the whole equator, but no candidate proves it
+    equator = [
+        sphere.point([math.cos(a), math.sin(a), 0.0])
+        for a in np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
+    ]
+    # no open hemisphere holds these either, but the repeated pair's cross
+    # product is 0, a candidate nothing lies below
+    repeated = tet + (tet[0],)
+    for pts in (north, tet[:2], repeated, equator):
+        assert not _no_open_hemisphere(sphere, np.stack([q.coords for q in pts]))
+    # off S^2 it never answers
+    s3 = Sphere(3)
+    spread = np.vstack([np.eye(4), -np.ones((1, 4)) / 2.0])
+    assert not _no_open_hemisphere(s3, spread)
+
+
+def test_afsari_certified_exits_before_the_certificate(monkeypatch):
+    sphere, tet = tetrahedron()
+    Q = Configuration(sphere, tet)
+    called = []
+    monkeypatch.setattr(
+        "riemmean.frechet.afsari_certificate", lambda *a: called.append(1)
+    )
+    assert afsari_certified(Q) is False
+    assert called == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=3, max_value=8),
+    layout=st.sampled_from(["ball", "great_circle", "twin"]),
+    spread=st.sampled_from([0.5, 0.9, 1.0, 1.05, 1.2, 1.5, 2.0]),
+)
+def test_sphere_certified_flag_matches_the_loop(seed, size, layout, spread):
+    """On S^2 the open-hemisphere exit changes no flag: `afsari_certified`
+    equals the full certificate loop, ball data of radius ``spread * r_cx``
+    around a random centre (all of S^2 at 2.0), data on one great circle,
+    or ball data with a repeated point."""
+    sphere = Sphere(2)
+    rng = np.random.Generator(np.random.Philox(key=[0x4E51, seed]))
+    center = sphere.random_point(rng)
+    radius = spread * sphere.constants.r_cx
+    if layout == "great_circle":
+        u, w = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+        arcs = rng.uniform(-radius, radius, size)
+        pts = [sphere.point(math.cos(a) * u + math.sin(a) * w) for a in arcs]
+    else:
+        pts = [sample_ball(sphere, center, radius, rng) for _ in range(size)]
+        if layout == "twin":
+            pts.append(pts[int(rng.integers(size))])
+    Q = Configuration(sphere, tuple(pts))
+    flag = certificate_before_the_diameter_exit(Q)[0]
+    assert afsari_certified(Q) == flag == afsari_certificate(Q).certified
 
 
 # -- forward directional derivative ---------------------------------------------

@@ -260,6 +260,65 @@ def test_spd_validate_rejects_non_finite(bad):
         spd_validate(S)
 
 
+VALID = np.array([[2.0, 0.3], [0.3, 1.0]])
+REFUSALS = {
+    "non_square": (np.ones((2, 3)), InvalidInputError, "expected a square matrix, got (2, 3)"),
+    "non_finite": (
+        np.array([[1.0, math.nan], [math.nan, 1.0]]),
+        InvalidInputError,
+        "matrix has a non-finite entry",
+    ),
+    "non_symmetric": (
+        np.array([[2.0, 0.5], [0.0, 1.0]]),
+        InvalidInputError,
+        "matrix is not symmetric within tolerance",
+    ),
+    "non_spd": (np.diag([1.0, -2.0]), InvalidInputError, "matrix is not positive definite"),
+    "degenerate": (
+        np.eye(2),
+        DegenerateSpectrumError,
+        "eigen-gap below 1e-08: fiber is not a finite orbit",
+    ),
+}
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_eig_canonical_and_psr_mean_refuse_alike(case, warm):
+    """One validation, in `eig_canonical`, gives each bad sample the
+    refusal `spd_validate` and the gap test gave it, whether or not the
+    cache already holds the good samples."""
+    bad, error, message = REFUSALS[case]
+    if warm:
+        eig_canonical(VALID)
+    assert raised(eig_canonical, bad) == (error, message)
+    assert raised(psr_mean, [VALID, bad]) == (error, message)
+    assert raised(psr_mean, [bad, VALID]) == (error, message)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_psr_mean_refuses_mixed_sizes_after_validating_every_sample(warm):
+    """Sizes are compared once every sample is valid, and before any
+    spectral gap is: an invalid sample wins over mixed sizes, mixed sizes
+    over a degenerate one."""
+    if warm:
+        eig_canonical(VALID)
+    mixed = (InvalidInputError, "samples have mixed sizes")
+    big = np.diag([3.0, 2.0, 1.0])
+    assert raised(psr_mean, [VALID, big]) == mixed
+    assert raised(psr_mean, [np.eye(2), big]) == mixed
+    assert raised(psr_mean, [VALID, np.eye(2), big]) == mixed
+    for case in ("non_square", "non_finite", "non_symmetric", "non_spd"):
+        bad, error, message = REFUSALS[case]
+        assert raised(psr_mean, [big, VALID, bad]) == (error, message)
+
+
 # -- distances ---------------------------------------------------------------------
 
 
