@@ -20,6 +20,7 @@ from . import lab
 from .equivariant import QuotientPoint, antipodal_action, efm_solve
 from .errors import InvalidInputError, RiemmeanError
 from .frechet import Configuration, afsari_certificate, frechet_mean
+from .lab import _fmt
 from .literals import (
     format_matrix,
     format_point,
@@ -41,10 +42,6 @@ POINT_GRAMMAR = (
     "factors joined by ';' for products; files hold one point per line, "
     "'#' comments"
 )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _positive_float(text: str) -> float:
@@ -90,14 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", required=True, help="covering manifold (sphere:<n>)")
     p.add_argument("--action", default="antipodal", choices=["antipodal"])
     p.add_argument("--points", required=True, help="representatives, one per line")
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("psr-mean", help="partial scaling-rotation mean of SPD samples")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=_positive_float, default=1.0)
     p.add_argument("--samples", required=True, help="SPD matrices, one per line")
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--gap-tol", type=_positive_float, default=1e-8)
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--csv", action="store_true")
@@ -160,7 +155,7 @@ def _cmd_efm(args) -> int:
             raise InvalidInputError("the antipodal action needs a sphere cover")
         points = read_points_file(cover, args.points)
     action = antipodal_action(cover)
-    res = efm_solve(action, [QuotientPoint(p) for p in points], tol=args.tol)
+    res = efm_solve(action, [QuotientPoint(p) for p in points])
     pairs = [
         ("downstairs_mean", format_point(cover, res.downstairs_mean.representative)),
         ("objective", _fmt(res.objective)),
@@ -177,13 +172,7 @@ def _cmd_efm(args) -> int:
 def _cmd_psr_mean(args) -> int:
     with _usage_scope():
         samples = read_spd_file(args.samples, args.m)
-    res = psr_mean(
-        samples,
-        k=args.k,
-        tol=args.tol,
-        gap_tol=args.gap_tol,
-        restarts=args.restarts,
-    )
+    res = psr_mean(samples, k=args.k, gap_tol=args.gap_tol, restarts=args.restarts)
     rep = res.representative
     _emit(
         [

@@ -244,7 +244,6 @@ def _scan_orbits(cover, orbits, coords):
 def efm_solve(
     action: FiniteAction,
     Q: Sequence[QuotientPoint],
-    tol: float = 1e-10,
     max_outer: int = 500,
     inner_tol: float = 1e-11,
     init: Point | None = None,
@@ -264,10 +263,8 @@ def efm_solve(
     minimizer together with its full orbit; the orbit projects to a single
     quotient point, the downstairs mean.
 
-    ``tol`` and ``inner_tol`` must be finite and positive.  ``inner_tol``
-    is the Karcher gradient tolerance.  ``tol`` bounds the objective
-    decrease of the confirming pass; that decrease is exactly 0, so no
-    valid ``tol`` changes the result.
+    ``inner_tol`` is the Karcher gradient tolerance; it must be finite and
+    positive.
 
     Each orbit scan serves twice: it gives the objective at its minimizer
     and the alignment of the next solve.  The initial point keeps the scan
@@ -276,9 +273,8 @@ def efm_solve(
     Karcher solves.  Each sample's orbit stack is built once per action
     (`QuotientPoint.orbit_stack`) and the lifts are read-only views of it.
     """
-    for name, value in (("tol", tol), ("inner_tol", inner_tol)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+    if not (math.isfinite(inner_tol) and inner_tol > 0.0):
+        raise InvalidInputError(f"inner_tol must be finite and positive, got {inner_tol}")
     Q = list(Q)
     if not Q:
         raise InvalidInputError("need at least one quotient point")

@@ -15,6 +15,14 @@ of the mean solvers:
 * ``psr_uniqueness``     -- inside a small scaling-rotation ball, PSR means
   should be unique up to the group and stay inside the lifted ball.
 
+One driver, `run_experiment`, runs them all.  An experiment validates its
+config and builds its static objects once per run, then gives a per-trial
+function that draws the trial's samples and solves them.  A `RiemmeanError`
+raised by the solve makes the trial a failed row (empty fields, counted in
+``solver_failures``) and the run goes on; an error raised while setting up,
+sampling or measuring a solved trial ends the run before any file is
+written.
+
 Reproducibility: trials draw from per-trial substreams of a counter-based
 Philox generator keyed by (seed, trial index), so results are independent
 of execution order.  Identical (config, seed) produces byte-identical CSV
@@ -25,7 +33,9 @@ the CSV's ``time_ms`` column is always written as 0.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,10 +79,10 @@ CSV_COLUMNS = (
     "time_ms",
 )
 
-_INT_FIELDS = {"trials", "sample_size", "seed", "m", "restarts"}
-_FLOAT_FIELDS = {"sigma", "radius", "k", "tol", "gap_tol", "atom_tol"}
 _POSITIVE_FIELDS = ("k", "tol", "gap_tol", "atom_tol")
-_STR_FIELDS = {"experiment", "sampler", "out_csv", "out_summary"}
+# a config value's parser, by its field's annotation (a string under
+# ``from __future__ import annotations``)
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,7 @@ class ExperimentConfig:
             raise InvalidInputError("trials and sample_size must be >= 1")
         if self.experiment == "sphere_genericity" and self.sampler not in SPHERE_SAMPLERS:
             raise InvalidInputError(f"unknown sampler {self.sampler!r}")
-        for name in sorted(_FLOAT_FIELDS):
+        for name in sorted(f.name for f in fields(self) if f.type == "float"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite")
         for name in _POSITIVE_FIELDS:
@@ -124,6 +134,7 @@ class ExperimentConfig:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key-value config grammar: one ``key = value`` pair per
     line, ``#`` starts a comment, blank lines ignored."""
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,15 +145,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
+        if key not in kinds:
+            raise InvalidInputError(f"config line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_FIELDS:
-                values[key] = int(val)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(val)
-            elif key in _STR_FIELDS:
-                values[key] = val
-            else:
-                raise InvalidInputError(f"config line {lineno}: unknown key {key!r}")
+            values[key] = _PARSERS[kinds[key]](val)
         except ValueError as exc:
             raise InvalidInputError(f"config line {lineno}: bad value {val!r}") from exc
     missing = {"experiment", "trials", "sample_size", "seed"} - set(values)
@@ -160,7 +166,6 @@ class TrialRecord:
     unique: bool | None = None
     iterations: int = 0
     failed: bool = False
-    failure: str = ""
 
 
 @dataclass(frozen=True)
@@ -312,7 +317,35 @@ def sample_in_ball(
 # -- experiments --------------------------------------------------------------
 
 
-def run_sphere_genericity(cfg: ExperimentConfig) -> SummaryReport:
+class _SolveFailed(Exception):
+    """A trial's solve raised a `RiemmeanError`: the trial is a failed row."""
+
+
+@contextmanager
+def _solving():
+    """Scope of a trial's solve.  A `RiemmeanError` raised inside fails the
+    trial; one raised outside it, while sampling or measuring, ends the run."""
+    try:
+        yield
+    except RiemmeanError as exc:
+        raise _SolveFailed from exc
+
+
+# one trial's (distance_to_A, residual, certified, unique, iterations)
+_Row = tuple[float, float, bool, bool | None, int]
+
+
+class _Study(NamedTuple):
+    """What an experiment adds to `run_experiment`: ``trial(rng)`` draws one
+    trial's samples, solves them inside `_solving` and returns its `_Row`;
+    ``extras(records)`` gives the summary's ``extra.*`` counters."""
+
+    trial: Callable[[np.random.Generator], _Row]
+    sampler_ac: bool = True
+    extras: Callable[[list[TrialRecord]], tuple[tuple[str, str], ...]] = lambda _: ()
+
+
+def _sphere_genericity(cfg: ExperimentConfig) -> _Study:
     """Means of i.i.d. samples on S^2 versus the equator ``z = 0``.
 
     Per trial: draw N points (uniform, von Mises-Fisher with concentration
@@ -321,40 +354,31 @@ def run_sphere_genericity(cfg: ExperimentConfig) -> SummaryReport:
     equator.  ``certified``/``unique`` columns carry the concentration
     certificate and multistart agreement.
     """
-    _require(cfg, "sphere_genericity")
     sphere = Sphere(2)
     equator_point = sphere.point([1.0, 0.0, 0.0])
-    records = []
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
+
+    def trial(rng: np.random.Generator) -> _Row:
         if cfg.sampler == "uniform":
             pts = [sample_sphere_uniform(rng, sphere) for _ in range(cfg.sample_size)]
         elif cfg.sampler == "vmf":
             pts = [sample_vmf_s2(rng, cfg.sigma) for _ in range(cfg.sample_size)]
         else:
             pts = [equator_point] * cfg.sample_size
-        rec = TrialRecord(trial=trial)
-        try:
+        with _solving():
             res = frechet_mean(Configuration(sphere, tuple(pts)), tol=cfg.tol)
-        except RiemmeanError as exc:
-            rec.failed = True
-            rec.failure = type(exc).__name__
-        else:
-            z = float(np.clip(res.minimizer.coords[2], -1.0, 1.0))
-            rec.distance_to_A = abs(math.asin(z))
-            rec.residual = res.barycenter_residual
-            rec.certified = res.afsari_certified
-            rec.unique = res.multistart_agreement
-            rec.iterations = res.iterations
-        records.append(rec)
-    report = _summarize(
-        cfg, records, sampler_ac=(cfg.sampler != "point_mass_equator")
-    )
-    _write_outputs(cfg, records, report)
-    return report
+        z = float(np.clip(res.minimizer.coords[2], -1.0, 1.0))
+        return (
+            abs(math.asin(z)),
+            res.barycenter_residual,
+            res.afsari_certified,
+            res.multistart_agreement,
+            res.iterations,
+        )
+
+    return _Study(trial, sampler_ac=cfg.sampler != "point_mass_equator")
 
 
-def run_rp2_equivariance(cfg: ExperimentConfig) -> SummaryReport:
+def _rp2_equivariance(cfg: ExperimentConfig) -> _Study:
     """Even-covering equivariance on RP^2.
 
     Per trial: sample a configuration in a downstairs ball of radius
@@ -364,7 +388,6 @@ def run_rp2_equivariance(cfg: ExperimentConfig) -> SummaryReport:
     means onto the downstairs mean.  ``distance_to_A`` carries that defect;
     ``unique`` additionally requires the downstairs mean inside the ball.
     """
-    _require(cfg, "rp2_equivariance")
     sphere = Sphere(2)
     action = antipodal_action(sphere)
     rel = radius_relations(action)
@@ -372,50 +395,42 @@ def run_rp2_equivariance(cfg: ExperimentConfig) -> SummaryReport:
         raise InvalidInputError(
             f"radius must sit in (0, {rel.r_cx}) for the uniqueness regime"
         )
-    records = []
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
+
+    def trial(rng: np.random.Generator) -> _Row:
         center_rep = sphere.random_point(rng)
         center = QuotientPoint(center_rep)
         pts = [
             QuotientPoint(sample_in_ball(rng, sphere, center_rep, cfg.radius))
             for _ in range(cfg.sample_size)
         ]
-        rec = TrialRecord(trial=trial)
-        try:
+        with _solving():
             sheets = even_cover_lifts(action, center, cfg.radius, pts)
             means = {h: frechet_mean(conf, tol=cfg.tol) for h, conf in sheets.items()}
-            efm = efm_solve(action, pts, tol=cfg.tol)
-        except RiemmeanError as exc:
-            rec.failed = True
-            rec.failure = type(exc).__name__
-        else:
-            eq_defect = max(
-                sphere.dist(
-                    action.apply(h1, means[h2].minimizer),
-                    means[action.compose(h1, h2)].minimizer,
-                )
-                for h1 in action.elements
-                for h2 in action.elements
+            efm = efm_solve(action, pts)
+        eq_defect = max(
+            sphere.dist(
+                action.apply(h1, means[h2].minimizer),
+                means[action.compose(h1, h2)].minimizer,
             )
-            proj_defect = max(
-                quotient_dist(
-                    action, QuotientPoint(means[h].minimizer), efm.downstairs_mean
-                )
-                for h in action.elements
+            for h1 in action.elements
+            for h2 in action.elements
+        )
+        proj_defect = max(
+            quotient_dist(
+                action, QuotientPoint(means[h].minimizer), efm.downstairs_mean
             )
-            in_ball = quotient_dist(action, efm.downstairs_mean, center) < cfg.radius
-            rec.distance_to_A = max(eq_defect, proj_defect)
-            rec.residual = max(m.barycenter_residual for m in means.values())
-            rec.certified = all(m.afsari_certified for m in means.values())
-            rec.unique = in_ball and all(
-                m.multistart_agreement for m in means.values()
-            )
-            rec.iterations = efm.outer_iterations
-        records.append(rec)
-    report = _summarize(cfg, records, sampler_ac=True)
-    _write_outputs(cfg, records, report)
-    return report
+            for h in action.elements
+        )
+        in_ball = quotient_dist(action, efm.downstairs_mean, center) < cfg.radius
+        return (
+            max(eq_defect, proj_defect),
+            max(m.barycenter_residual for m in means.values()),
+            all(m.afsari_certified for m in means.values()),
+            in_ball and all(m.multistart_agreement for m in means.values()),
+            efm.outer_iterations,
+        )
+
+    return _Study(trial)
 
 
 def _draw_spd_samples(cfg: ExperimentConfig, rng: np.random.Generator):
@@ -438,7 +453,19 @@ def _draw_spd_samples(cfg: ExperimentConfig, rng: np.random.Generator):
     return samples, resampled
 
 
-def run_psr_genericity(cfg: ExperimentConfig) -> SummaryReport:
+def _solve_psr(cfg: ExperimentConfig, cover, samples, rng: np.random.Generator):
+    """The PSR mean of one trial's samples, with the barycenter residual and
+    the concentration certificate of its aligned lifts on the cover."""
+    with _solving():
+        res = psr_mean(
+            samples, k=cfg.k, gap_tol=cfg.gap_tol, restarts=cfg.restarts, rng=rng
+        )
+    lifted = Configuration(cover, tuple(l.to_point(cover) for l in res.aligned_lifts))
+    residual, _ = barycenter_check(lifted, res.representative.to_point(cover))
+    return res, residual, afsari_certificate(lifted).certified
+
+
+def _psr_genericity(cfg: ExperimentConfig) -> _Study:
     """Eigen-gap genericity of partial scaling-rotation means.
 
     Per trial: draw N absolutely continuous SPD samples (``exp`` of a
@@ -446,52 +473,28 @@ def run_psr_genericity(cfg: ExperimentConfig) -> SummaryReport:
     record the minimal eigenvalue gap of the projected mean.  Atoms below
     ``atom_tol`` would contradict the expected top-stratum behavior.
     """
-    _require(cfg, "psr_genericity")
     if cfg.m not in (2, 3):
         raise InvalidInputError("psr_genericity supports m in {2, 3}")
     cover = cover_manifold(cfg.m, cfg.k)
-    records = []
-    total_resampled = 0
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
-        samples, resampled = _draw_spd_samples(cfg, rng)
-        total_resampled += resampled
-        rec = TrialRecord(trial=trial)
-        try:
-            res = psr_mean(
-                samples,
-                k=cfg.k,
-                tol=cfg.tol,
-                gap_tol=cfg.gap_tol,
-                restarts=cfg.restarts,
-                rng=rng,
-            )
-        except RiemmeanError as exc:
-            rec.failed = True
-            rec.failure = type(exc).__name__
-        else:
-            rep = res.representative
-            lifted = Configuration(
-                cover, tuple(l.to_point(cover) for l in res.aligned_lifts)
-            )
-            residual, _ = barycenter_check(lifted, rep.to_point(cover))
-            rec.distance_to_A = top_stratum_gap(rep.spd())
-            rec.residual = residual
-            rec.certified = afsari_certificate(lifted).certified
-            rec.unique = res.unique_up_to_G if cfg.restarts > 0 else None
-            rec.iterations = res.outer_iterations
-        records.append(rec)
-    report = _summarize(
-        cfg,
-        records,
-        sampler_ac=True,
-        extras=(("degenerate_resamples", str(total_resampled)),),
-    )
-    _write_outputs(cfg, records, report)
-    return report
+    resampled = 0
+
+    def trial(rng: np.random.Generator) -> _Row:
+        nonlocal resampled
+        samples, n = _draw_spd_samples(cfg, rng)
+        resampled += n
+        res, residual, certified = _solve_psr(cfg, cover, samples, rng)
+        return (
+            top_stratum_gap(res.representative.spd()),
+            residual,
+            certified,
+            res.unique_up_to_G if cfg.restarts > 0 else None,
+            res.outer_iterations,
+        )
+
+    return _Study(trial, extras=lambda _: (("degenerate_resamples", str(resampled)),))
 
 
-def run_psr_uniqueness(cfg: ExperimentConfig) -> SummaryReport:
+def _psr_uniqueness(cfg: ExperimentConfig) -> _Study:
     """Uniqueness of PSR means under concentration.
 
     Samples are drawn (absolutely continuously, with rejection control) in
@@ -501,7 +504,6 @@ def run_psr_uniqueness(cfg: ExperimentConfig) -> SummaryReport:
     and the partial distance from the center fiber to the representative
     (``distance_to_A``), which should stay below ``radius``.
     """
-    _require(cfg, "psr_uniqueness")
     if cfg.m not in (2, 3):
         raise InvalidInputError("psr_uniqueness supports m in {2, 3}")
     consts = psr_constants(cfg.m, cfg.k)
@@ -513,12 +515,10 @@ def run_psr_uniqueness(cfg: ExperimentConfig) -> SummaryReport:
     center_spd = np.diag(np.arange(cfg.m, 0, -1, dtype=float))
     cover = cover_manifold(cfg.m, cfg.k)
     center_point = eig_canonical(center_spd, cfg.gap_tol).to_point(cover)
-    records = []
     rejected = 0
-    in_ball_count = 0
-    completed = 0
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
+
+    def trial(rng: np.random.Generator) -> _Row:
+        nonlocal rejected
         samples = []
         while len(samples) < cfg.sample_size:
             cand = sample_in_ball(rng, cover, center_point, cfg.radius)
@@ -531,60 +531,47 @@ def run_psr_uniqueness(cfg: ExperimentConfig) -> SummaryReport:
                 rejected += 1
                 continue
             samples.append(S)
-        rec = TrialRecord(trial=trial)
-        try:
-            res = psr_mean(
-                samples,
-                k=cfg.k,
-                tol=cfg.tol,
-                gap_tol=cfg.gap_tol,
-                restarts=cfg.restarts,
-                rng=rng,
-            )
-        except RiemmeanError as exc:
-            rec.failed = True
-            rec.failure = type(exc).__name__
-        else:
-            rep = res.representative
-            lifted = Configuration(
-                cover, tuple(l.to_point(cover) for l in res.aligned_lifts)
-            )
-            residual, _ = barycenter_check(lifted, rep.to_point(cover))
-            center_dist = d_psr(center_spd, rep, cfg.k, cfg.gap_tol)
-            completed += 1
-            in_ball_count += int(center_dist < cfg.radius)
-            rec.distance_to_A = center_dist
-            rec.residual = residual
-            rec.certified = afsari_certificate(lifted).certified
-            rec.unique = res.unique_up_to_G
-            rec.iterations = res.outer_iterations
-        records.append(rec)
-    extras = (
-        ("rejected_proposals", str(rejected)),
-        ("in_ball_count", str(in_ball_count)),
-        ("in_ball_rate", _fmt(in_ball_count / completed) if completed else ""),
-    )
-    report = _summarize(cfg, records, sampler_ac=True, extras=extras)
-    _write_outputs(cfg, records, report)
-    return report
-
-
-def _require(cfg: ExperimentConfig, name: str) -> None:
-    if cfg.experiment != name:
-        raise InvalidInputError(
-            f"config names experiment {cfg.experiment!r}, runner is {name!r}"
+        res, residual, certified = _solve_psr(cfg, cover, samples, rng)
+        return (
+            d_psr(center_spd, res.representative, cfg.k, cfg.gap_tol),
+            residual,
+            certified,
+            res.unique_up_to_G,
+            res.outer_iterations,
         )
 
+    def extras(records: list[TrialRecord]) -> tuple[tuple[str, str], ...]:
+        done = [r for r in records if not r.failed]
+        in_ball = sum(r.distance_to_A < cfg.radius for r in done)
+        return (
+            ("rejected_proposals", str(rejected)),
+            ("in_ball_count", str(in_ball)),
+            ("in_ball_rate", _fmt(in_ball / len(done)) if done else ""),
+        )
 
-_RUNNERS = {
-    "sphere_genericity": run_sphere_genericity,
-    "rp2_equivariance": run_rp2_equivariance,
-    "psr_genericity": run_psr_genericity,
-    "psr_uniqueness": run_psr_uniqueness,
+    return _Study(trial, extras=extras)
+
+
+_SETUPS = {
+    "sphere_genericity": _sphere_genericity,
+    "rp2_equivariance": _rp2_equivariance,
+    "psr_genericity": _psr_genericity,
+    "psr_uniqueness": _psr_uniqueness,
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
-    """Dispatch on ``cfg.experiment``; writes the CSV and summary files and
-    returns the summary."""
-    return _RUNNERS[cfg.experiment](cfg)
+    """Run ``cfg.experiment``: set it up once, run its trials in order, each
+    from its own `trial_rng` substream, then write the CSV and summary files
+    and return the summary."""
+    study = _SETUPS[cfg.experiment](cfg)
+    records = []
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        try:
+            records.append(TrialRecord(trial, *study.trial(rng)))
+        except _SolveFailed:
+            records.append(TrialRecord(trial, failed=True))
+    report = _summarize(cfg, records, study.sampler_ac, study.extras(records))
+    _write_outputs(cfg, records, report)
+    return report

@@ -45,7 +45,7 @@ from .manifolds import DiagPos, Point, Product, SpecialOrthogonal, _frozen
 GAP_TOL = 1e-8
 ORBIT_MATCH_TOL = 1e-7
 # decompositions kept by `eig_canonical`: one lab trial's samples plus the
-# fixed centre of `lab.run_psr_uniqueness`
+# fixed centre of the lab's psr_uniqueness experiment
 EIG_CACHE_SIZE = 16
 
 
@@ -346,7 +346,6 @@ class PsrMeanResult:
 def psr_mean(
     samples: list[np.ndarray],
     k: float = 1.0,
-    tol: float = 1e-10,
     gap_tol: float = GAP_TOL,
     restarts: int = 5,
     rng: np.random.Generator | None = None,
@@ -380,7 +379,7 @@ def psr_mean(
     cover = action.cover
     # each sample's orbit stack is built once, for all 1 + restarts solves
     Q = [QuotientPoint(c.to_point(cover)) for c in canons]
-    base = efm_solve(action, Q, tol=tol)
+    base = efm_solve(action, Q)
     rep_point = base.downstairs_mean.representative
     unique = True
     if restarts > 0:
@@ -393,7 +392,7 @@ def psr_mean(
             j = int(rng.integers(len(Q)))
             init = action.apply(h, Q[j].representative)
             try:
-                res = efm_solve(action, Q, tol=tol, init=init)
+                res = efm_solve(action, Q, init=init)
             except NoConvergenceError:
                 unique = False
                 continue

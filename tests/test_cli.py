@@ -237,6 +237,25 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("efm", "--cover", "sphere:2", "--points", "{points}"),
+        ("psr-mean", "--m", "2", "--samples", "{points}"),
+    ],
+)
+def test_equivariant_means_take_no_tol_flag(capsys, tmp_path, argv):
+    """``--tol`` sets the Frechet gradient tolerance of ``mean`` only."""
+    points = tmp_path / "pts.txt"
+    points.write_text("1,0,0\n0.8,0.6,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(points=points) for a in argv] + ["--tol", "1e-10"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "unrecognized arguments: --tol" in out.err
+    assert out.out == ""
+
+
 def test_experiment_command(capsys, tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text(

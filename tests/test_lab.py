@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riemmean import lab, spd
-from riemmean.errors import InvalidInputError
+from riemmean.errors import InvalidInputError, NoConvergenceError
 
 
 def make_cfg(tmp_path, **kw):
@@ -257,10 +257,113 @@ def test_psr_uniqueness_radius_guard(tmp_path):
         lab.run_experiment(cfg)
 
 
-def test_experiment_runner_mismatch_guard(tmp_path):
-    cfg = make_cfg(tmp_path)
-    with pytest.raises(InvalidInputError):
-        lab.run_rp2_equivariance(cfg)
+# -- the driver's contract ------------------------------------------------------
+
+EXPERIMENT_CONFIGS = {
+    "sphere_genericity": dict(),
+    "rp2_equivariance": dict(radius=0.6),
+    **PSR_CONFIGS,
+}
+# the solver whose errors fail a trial, per experiment
+SOLVERS = {
+    "sphere_genericity": "frechet_mean",
+    "rp2_equivariance": "frechet_mean",
+    "psr_genericity": "psr_mean",
+    "psr_uniqueness": "psr_mean",
+}
+
+
+def small_cfg(tmp_path, experiment, trials=3):
+    return make_cfg(
+        tmp_path, experiment=experiment, trials=trials, sample_size=4,
+        **EXPERIMENT_CONFIGS[experiment],
+    )
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_CONFIGS))
+def test_solver_error_fails_only_its_trial(tmp_path, monkeypatch, experiment):
+    """A `RiemmeanError` from the solve of trial 1 gives a failed row with
+    empty fields, counts one solver failure, and the later trials run."""
+    name = SOLVERS[experiment]
+    solver = getattr(lab, name)
+    current = []
+    real_rng = lab.trial_rng
+
+    def tracking_rng(seed, trial):
+        current.append(trial)
+        return real_rng(seed, trial)
+
+    def failing(*args, **kwargs):
+        if current[-1] == 1:
+            raise NoConvergenceError("injected")
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(lab, "trial_rng", tracking_rng)
+    monkeypatch.setattr(lab, name, failing)
+    report = lab.run_experiment(small_cfg(tmp_path, experiment))
+    assert report.solver_failures == 1
+    assert report.completed == 2
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert rows[1] == "1,,,,,0,0"
+    for i in (0, 2):
+        fields = rows[i].split(",")
+        assert fields[0] == str(i)
+        assert all(fields[1:3]) and fields[3] in ("0", "1")
+    assert current == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "experiment, sampler, fake, message",
+    [
+        ("psr_genericity", "sample_spd", lambda rng, m, sigma: np.eye(m),
+         "keeps hitting degenerate spectra"),
+        ("sphere_genericity", "sample_sphere_uniform", None, "injected"),
+    ],
+    ids=["psr_genericity", "sphere_genericity"],
+)
+def test_sampler_error_ends_the_run_without_files(tmp_path, monkeypatch, experiment,
+                                                   sampler, fake, message):
+    def refusing(*args, **kwargs):
+        raise InvalidInputError("injected sampler refusal")
+
+    monkeypatch.setattr(lab, sampler, fake or refusing)
+    with pytest.raises(InvalidInputError, match=message):
+        lab.run_experiment(small_cfg(tmp_path, experiment))
+    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_CONFIGS))
+def test_trial_rng_opens_each_trial_and_summarize_precedes_writing(
+    tmp_path, monkeypatch, experiment
+):
+    """The per-trial stream is drawn once per trial, in order, before the
+    trial's solve; the summary is made once, after the last trial and before
+    the files are written."""
+    events = []
+
+    def logging(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name if name != "trial_rng" else (name, args[1]))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("trial_rng", "_summarize", "_write_outputs", SOLVERS[experiment]):
+        monkeypatch.setattr(lab, name, logging(name, getattr(lab, name)))
+    lab.run_experiment(small_cfg(tmp_path, experiment, trials=4))
+    opened = [e[1] for e in events if isinstance(e, tuple)]
+    assert opened == [0, 1, 2, 3]
+    assert events[0] == ("trial_rng", 0)
+    assert events[-2:] == ["_summarize", "_write_outputs"]
+    assert events.count("_summarize") == 1
+    trials = [[]]
+    for e in events[1:-2]:
+        if isinstance(e, tuple):
+            trials.append([])
+        else:
+            trials[-1].append(e)
+    assert all(t and set(t) == {SOLVERS[experiment]} for t in trials)
 
 
 def test_summary_text_fields(tmp_path):

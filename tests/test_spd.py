@@ -504,7 +504,7 @@ def test_psr_mean_cover_barycenter_residual():
         except DegenerateSpectrumError:
             continue
         samples.append(S)
-    res = psr_mean(samples, tol=1e-10)
+    res = psr_mean(samples)
     lifted = Configuration(
         cover, tuple(l.to_point(cover) for l in res.aligned_lifts)
     )
