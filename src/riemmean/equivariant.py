@@ -172,11 +172,16 @@ class FiniteAction:
         shape ``(order,) + cover.shape``."""
         return np.stack([q.coords for q in self.orbit(p)])
 
-    def orbit_dist(self, p: Point, target: Point) -> float:
+    def orbit_dist(self, p: Point | QuotientPoint, target: Point) -> float:
         """``min_h dist(h . p, target)``: one batched distance call over the
-        orbit of ``p``."""
+        orbit of ``p``.  A `QuotientPoint` lends the orbit stack it keeps, so
+        repeated distances from one fiber build its orbit once."""
         self.cover._own(target)
-        return float(self.cover._dist_block(target.coords, self.orbit_stack(p)).min())
+        if isinstance(p, QuotientPoint):
+            orbit = p.orbit_stack(self)
+        else:
+            orbit = self.orbit_stack(p)
+        return float(self.cover._dist_block(target.coords, orbit).min())
 
     def same_fiber(self, p: Point, q: Point, tol: float = FIBER_TOL) -> bool:
         return self.orbit_dist(p, q) <= tol
@@ -211,7 +216,7 @@ def beta(
 def quotient_dist(action: FiniteAction, a: QuotientPoint, b: QuotientPoint) -> float:
     """Quotient distance: min over the group of cover distances between
     representatives.  Independent of the representatives chosen."""
-    return action.orbit_dist(b.representative, a.representative)
+    return action.orbit_dist(b, a.representative)
 
 
 def d_evt(action: FiniteAction, q: QuotientPoint, p_tilde: Point) -> float:
@@ -220,7 +225,7 @@ def d_evt(action: FiniteAction, q: QuotientPoint, p_tilde: Point) -> float:
     Equals ``quotient_dist(q, class of p_tilde)`` because the covering is a
     local isometry and orbits project to points.
     """
-    return action.orbit_dist(q.representative, p_tilde)
+    return action.orbit_dist(q, p_tilde)
 
 
 def efm_objective(

@@ -135,22 +135,22 @@ def gradient_field(Q: Configuration, p: Point, cut_tol: float = CUT_TOL) -> Tang
     """
     m = Q.manifold
     m._own(p)
-    vecs, _ = m._log_block(p.coords, Q.coord_stack, cut_tol)
-    return Tangent(p, _frozen(vecs.mean(axis=0)))
+    mean, _ = m._log_mean(p.coords, Q.coord_stack, cut_tol)
+    return Tangent(p, _frozen(mean))
 
 
 def _descent_state(m: Manifold, Q: Configuration, coords: np.ndarray, cut_tol: float):
-    """Logs of all data at ``coords`` plus derived quantities.
+    """The descent state at ``coords``: step direction, objective and
+    gradient norm.
 
-    Off cut loci ``dist == |log|``, so one pass of the manifold's batched
-    log kernel over the data stack yields the local objective, the step
-    direction and the gradient norm.
+    The step direction is ``Y_Q``, the mean of the data's logs, and off cut
+    loci ``dist == |log|``, so the objective is the mean squared log norm.
+    One `_log_mean` pass over the data stack forms both without the
+    individual logs; the gradient norm is the norm of the direction.
+    Raises `CutLocusError` when some data point is within ``cut_tol`` of
+    the cut locus of ``coords``.
     """
-    vecs, sq = m._log_block(coords, Q.coord_stack, cut_tol)
-    # sum / n is np.mean's own arithmetic without its per-call overhead
-    n = len(sq)
-    f = float(sq.sum()) / n
-    direction = vecs.sum(axis=0) / n
+    direction, f = m._log_mean(coords, Q.coord_stack, cut_tol)
     g = math.sqrt(max(m._inner(coords, direction, direction), 0.0))
     return direction, f, g
 
@@ -313,20 +313,22 @@ def barycenter_check(
     reported for manual inspection rather than guessed at.  If some log
     cannot be formed at all, the residual does not exist and `CutLocusError`
     is raised -- at a genuine local minimum this cannot happen.
+
+    The mean log is one `_log_mean` pass over the data stack at margin
+    ``tol``; if that refuses, some point is within ``tol`` of a cut locus
+    (a log refuses at a margin iff the point is that close), and a second
+    pass at margin 1e-15 forms the mean or raises.
     """
     m = Q.manifold
     m._own(p)
-    boundary = False
-    vecs = []
-    for q in Q.points:
-        if m._in_cut_locus(p.coords, q.coords, tol):
-            boundary = True
-            vecs.append(m._log(p.coords, q.coords, 1e-15))
-        else:
-            vecs.append(m._log(p.coords, q.coords, tol))
-    mean = np.mean(vecs, axis=0) if len(vecs) > 1 else vecs[0]
+    try:
+        mean, _ = m._log_mean(p.coords, Q.coord_stack, tol)
+        classification = SHORT
+    except CutLocusError:
+        mean, _ = m._log_mean(p.coords, Q.coord_stack, 1e-15)
+        classification = BOUNDARY_UNCLASSIFIED
     residual = math.sqrt(max(m._inner(p.coords, mean, mean), 0.0))
-    return residual, (BOUNDARY_UNCLASSIFIED if boundary else SHORT)
+    return residual, classification
 
 
 # a triple product of unit vectors is computed to within a few ulps, far

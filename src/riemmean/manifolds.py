@@ -21,19 +21,30 @@ are caught early.  Every operation is a pure function; manifold descriptors
 are immutable after construction.  Coordinates must be finite: a NaN or
 infinite entry is refused where a point or tangent is wrapped.
 
-Besides the per-point kernels (``_log``, ``_dist``, ...), every kind has one
-batched kernel pair over a stack of points of shape ``(K,) + shape``:
-``_dist_block(p, stack)`` returns the K distances from ``p`` and
-``_log_block(p, stack, tol)`` the K logs at ``p`` (stacked like the input)
-with their squared norms, raising `CutLocusError` when any row would.
-Karcher descent steps, the gradient field, the concentration certificate
-and every minimum over a group orbit go through these blocks.  SO(m) forms
+Besides the per-point kernels (``_log``, ``_dist``, ...), every kind has
+batched kernels over a stack of points of shape ``(K,) + shape``:
+
+* ``_dist_block(p, stack)`` -- the K distances from ``p``;
+* ``_log_block(p, stack, tol)`` -- the K logs at ``p`` as rows (stacked like
+  the input) with their squared norms;
+* ``_log_mean(p, stack, tol)`` -- only the mean of those logs and their
+  mean squared norm (the mean squared distance), formed in the same pass
+  as the logs instead of from K rows.
+
+Both log kernels raise `CutLocusError` exactly when some row is within
+``tol`` of the cut locus of ``p``, and each kind writes its formulas once,
+in a helper both share.  The solvers need only means, so the Karcher
+descent states, the gradient field and the barycenter check call
+``_log_mean``; ``_log_block`` keeps the rows, which the tests compare one by
+one with the per-point ``_log``.  Every minimum over a group orbit and the
+concentration certificate call ``_dist_block``.  SO(m) forms
 all relative rotations of a stack with one broadcast matmul and reads their
 angles in closed form for m <= 3, where each turns a single plane, or from
 one batched ``eigh`` for m >= 4 (its per-point ``_log`` and ``_dist`` are
-blocks of one); products slice the stack's column ranges into factor
-blocks.  This is the leading-batch-axis vectorization of Geomstats (Miolane
-et al., JMLR 2020).
+blocks of one); its mean log is one matmul of ``p`` with the mean skew log.
+Products slice the stack's column ranges into factor blocks, and join the
+factor means and add the factor objectives.  This is the leading-batch-axis
+vectorization of Geomstats (Miolane et al., JMLR 2020).
 """
 
 from __future__ import annotations
@@ -226,6 +237,12 @@ class Manifold:
         and their squared norms; `CutLocusError` if any row is cut."""
         raise NotImplementedError
 
+    def _log_mean(self, p: np.ndarray, stack: np.ndarray, tol: float):
+        """``(mean_log, mean_sq)``: the mean of the logs at ``p`` of the rows
+        of ``stack`` (shaped like ``p``) and the mean of their squared norms,
+        without forming the rows; refuses exactly as `_log_block` does."""
+        raise NotImplementedError
+
     def _dist_block(self, p: np.ndarray, stack: np.ndarray) -> np.ndarray:
         """Distances from ``p`` to every row of ``stack``."""
         raise NotImplementedError
@@ -297,6 +314,11 @@ class Euclidean(Manifold):
         vecs = stack - p
         return vecs, np.einsum("ij,ij->i", vecs, vecs)
 
+    def _log_mean(self, p, stack, tol):
+        vecs = stack - p
+        n = len(vecs)
+        return vecs.sum(axis=0) / n, float(np.vdot(vecs, vecs)) / n
+
     def _dist_block(self, p, stack):
         return np.linalg.norm(stack - p, axis=1)
 
@@ -338,9 +360,9 @@ class Sphere(Manifold):
         return out / math.sqrt(float(out @ out))
 
     def _log(self, p, q, tol):
-        c = float(np.clip(np.dot(p, q), -1.0, 1.0))
+        c = max(-1.0, min(1.0, float(np.dot(p, q))))
         w = q - c * p
-        theta = math.atan2(np.linalg.norm(w), c)
+        theta = math.atan2(math.sqrt(float(w @ w)), c)
         if theta > math.pi - tol:
             raise CutLocusError("antipodal points: sphere log undefined")
         if theta < 1e-16:
@@ -348,9 +370,9 @@ class Sphere(Manifold):
         return (theta / math.sin(theta)) * w
 
     def _dist(self, p, q):
-        c = float(np.clip(np.dot(p, q), -1.0, 1.0))
+        c = max(-1.0, min(1.0, float(np.dot(p, q))))
         w = q - c * p
-        return math.atan2(np.linalg.norm(w), c)
+        return math.atan2(math.sqrt(float(w @ w)), c)
 
     def _inner(self, p, u, v):
         return float(np.dot(u, v))
@@ -374,14 +396,27 @@ class Sphere(Manifold):
         wn = np.sqrt(np.einsum("ij,ij->i", w, w))
         return np.arctan2(wn, c), w
 
-    def _log_block(self, p, stack, tol):
+    def _log_parts(self, p, stack, tol):
+        # angles, log scale factors and off-p components of the stack's rows:
+        # row k's log is ratio[k] * w[k] and its squared norm theta[k]**2
         theta, w = self._angles_block(p, stack)
         if float(theta.max()) > math.pi - tol:
             raise CutLocusError("antipodal points: sphere log undefined")
         # theta/sin(theta) is stable away from pi; at theta ~ 0 the factor is
         # irrelevant because w ~ 0
         ratio = theta / np.maximum(np.sin(theta), 1e-300)
+        return theta, ratio, w
+
+    def _log_block(self, p, stack, tol):
+        theta, ratio, w = self._log_parts(p, stack, tol)
         return ratio[:, None] * w, theta * theta
+
+    def _log_mean(self, p, stack, tol):
+        theta, ratio, w = self._log_parts(p, stack, tol)
+        n = len(theta)
+        # ndarray.dot is the same product as @ (bit for bit) with less
+        # per-call overhead on these few rows
+        return ratio.dot(w) / n, float(theta.dot(theta)) / n
 
     def _dist_block(self, p, stack):
         return self._angles_block(p, stack)[0]
@@ -441,7 +476,7 @@ class SpecialOrthogonal(Manifold):
 
     # a single point is a stack of one: `_relative` reshapes to (K, m, m)
     def _log(self, p, q, tol):
-        return self._log_rows(p, q, tol)[0]
+        return (p @ self._skew_logs(p, q, tol)).reshape(q.shape)
 
     def _dist(self, p, q):
         return float(self._dist_block(p, q)[0])
@@ -481,15 +516,20 @@ class SpecialOrthogonal(Manifold):
         # p.T @ Q_k for every Q_k of the stack, as one (K, m, m) array
         return p.T @ stack.reshape(-1, self.m, self.m)
 
-    def _log_rows(self, p, stack, tol):
-        # logs at p of the stack's rows, and the skew matrices they come from;
-        # the margin tol is a distance, as in _in_cut_locus
-        X = rotation_log(self._relative(p, stack), tol / math.sqrt(self.k))
-        return (p @ X).reshape(stack.shape), X
+    def _skew_logs(self, p, stack, tol):
+        # the skew logs X_k of the relative rotations p.T @ Q_k, shape
+        # (K, m, m): the log of Q_k at p is p @ X_k, of squared norm
+        # k/2 |X_k|^2.  The margin tol is a distance, as in _in_cut_locus
+        return rotation_log(self._relative(p, stack), tol / math.sqrt(self.k))
 
     def _log_block(self, p, stack, tol):
-        vecs, X = self._log_rows(p, stack, tol)
-        return vecs, self.k * 0.5 * np.einsum("kij,kij->k", X, X)
+        X = self._skew_logs(p, stack, tol)
+        return (p @ X).reshape(stack.shape), self.k * 0.5 * np.einsum("kij,kij->k", X, X)
+
+    def _log_mean(self, p, stack, tol):
+        X = self._skew_logs(p, stack, tol)
+        n = len(X)
+        return p @ (X.sum(axis=0) / n), self.k * 0.5 * float(np.vdot(X, X)) / n
 
     def _dist_block(self, p, stack):
         return math.sqrt(self.k) * rotation_norm(self._relative(p, stack))
@@ -542,12 +582,22 @@ class DiagPos(Manifold):
     def _random_coords(self, rng):
         return np.exp(rng.standard_normal(self.m))
 
+    def _log_diff(self, p, stack):
+        # entrywise log differences: row k's log is p * diff[k] and its
+        # squared norm |diff[k]|^2
+        return np.log(stack) - np.log(p)
+
     def _log_block(self, p, stack, tol):
-        diff = np.log(stack) - np.log(p)
+        diff = self._log_diff(p, stack)
         return p * diff, np.einsum("ij,ij->i", diff, diff)
 
+    def _log_mean(self, p, stack, tol):
+        diff = self._log_diff(p, stack)
+        n = len(diff)
+        return p * (diff.sum(axis=0) / n), float(np.vdot(diff, diff)) / n
+
     def _dist_block(self, p, stack):
-        return np.linalg.norm(np.log(stack) - np.log(p), axis=1)
+        return np.linalg.norm(self._log_diff(p, stack), axis=1)
 
 
 class Product(Manifold):
@@ -635,6 +685,15 @@ class Product(Manifold):
             vecs.append(v.reshape(len(stack), -1))
             sq = sq + s
         return np.concatenate(vecs, axis=1), sq
+
+    def _log_mean(self, p, stack, tol):
+        means = []
+        mean_sq = 0.0
+        for f, pp, block in zip(self.factors, self.split(p), self._split_block(stack)):
+            mean, sq = f._log_mean(pp, block, tol)
+            means.append(mean)
+            mean_sq += sq
+        return _join(means), mean_sq
 
     def _dist_block(self, p, stack):
         sq = 0.0

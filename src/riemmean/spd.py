@@ -22,10 +22,13 @@ Each piece of this work is done once per matrix.  `eig_canonical` keeps its
 last `EIG_CACHE_SIZE` (16) decompositions, keyed on the matrix's bytes,
 shape and ``gap_tol``: enough for one lab trial's samples plus the fixed
 centre, which the ``d_sr`` rejection tests, ``psr_mean`` and ``d_psr``
-all decompose.  An `EigenPair` keeps the cover point `EigenPair.to_point`
-validated, per cover id, and `gm_action` the action per ``(m, k)``.  All
-three are immutable and a hit returns what a miss would compute from the
-same bytes, so no output changes; refusals are never cached.
+all decompose.  An `EigenPair` keeps its class in the quotient
+(`EigenPair.fiber`, whose representative is the validated cover point
+`EigenPair.to_point`), per cover id, with that class's orbit stack per
+action, so ``d_sr`` and ``d_psr`` build a kept pair's orbit once; and
+`gm_action` keeps the action per ``(m, k)``.  All three are immutable and
+a hit returns what a miss would compute from the same bytes, so no output
+changes; refusals are never cached.
 """
 
 from __future__ import annotations
@@ -128,17 +131,26 @@ class EigenPair:
         """The decomposed SPD matrix ``U diag(d) U^T``."""
         return (self.U * self.d) @ self.U.T
 
+    def fiber(self, cover: Product) -> QuotientPoint:
+        """The pair's class in the quotient of ``cover`` by G(m), represented
+        by the pair itself.  Built once per cover id and kept on the pair,
+        with the orbit stacks it keeps (`QuotientPoint.orbit_stack`): all
+        are immutable."""
+        fibers = getattr(self, "_fibers", None)
+        if fibers is None:
+            fibers = {}
+            object.__setattr__(self, "_fibers", fibers)
+        q = fibers.get(cover.manifold_id)
+        if q is None:
+            q = fibers[cover.manifold_id] = QuotientPoint(
+                cover.point(cover.join([self.U, self.d]))
+            )
+        return q
+
     def to_point(self, cover: Product) -> Point:
-        """The pair as a validated point of ``cover``.  Built once per cover
-        id and kept on the pair: both are immutable."""
-        points = getattr(self, "_points", None)
-        if points is None:
-            points = {}
-            object.__setattr__(self, "_points", points)
-        p = points.get(cover.manifold_id)
-        if p is None:
-            p = points[cover.manifold_id] = cover.point(cover.join([self.U, self.d]))
-        return p
+        """The pair as a validated point of ``cover``, built once per cover
+        id (the representative of `fiber`)."""
+        return self.fiber(cover).representative
 
     @classmethod
     def from_point(cls, cover: Product, p: Point) -> "EigenPair":
@@ -308,7 +320,7 @@ def d_psr(
     eigendecomposition ``pair``."""
     canon = eig_canonical(S, gap_tol)
     action = gm_action(S.shape[0], k)
-    return action.orbit_dist(canon.to_point(action.cover), pair.to_point(action.cover))
+    return action.orbit_dist(canon.fiber(action.cover), pair.to_point(action.cover))
 
 
 def d_sr(
@@ -317,11 +329,13 @@ def d_sr(
     """Scaling-rotation distance between two top-stratum SPD matrices:
     minimal product-metric distance between their eigendecomposition
     fibers.  One-sided group minimization suffices since the action is
-    isometric."""
+    isometric.  The orbit taken is that of ``S2``'s decomposition, kept on
+    its `EigenPair`: repeated distances to one fixed ``S2`` (the lab's
+    rejection tests against its centre) build that orbit once."""
     c1 = eig_canonical(np.asarray(S1, dtype=float), gap_tol)
     c2 = eig_canonical(np.asarray(S2, dtype=float), gap_tol)
     action = gm_action(c1.U.shape[0], k)
-    return action.orbit_dist(c2.to_point(action.cover), c1.to_point(action.cover))
+    return action.orbit_dist(c2.fiber(action.cover), c1.to_point(action.cover))
 
 
 def psr_objective(
@@ -378,7 +392,7 @@ def psr_mean(
     action = gm_action(m, k)
     cover = action.cover
     # each sample's orbit stack is built once, for all 1 + restarts solves
-    Q = [QuotientPoint(c.to_point(cover)) for c in canons]
+    Q = [c.fiber(cover) for c in canons]
     base = efm_solve(action, Q)
     rep_point = base.downstairs_mean.representative
     unique = True

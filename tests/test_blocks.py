@@ -1,9 +1,13 @@
 """Batched kernels against the per-point kernels, over generated inputs.
 
-Every manifold kind has one batched pair, ``_dist_block`` and
-``_log_block``; the solvers and the orbit scans use only those.  Here each
-row of a block must agree with the per-point kernel, cut-locus refusals
-included, and the stacked orbit scan must keep the lowest-index tie rule.
+Every manifold kind has three batched kernels: ``_dist_block``,
+``_log_block`` (the logs as rows) and ``_log_mean`` (only their mean and
+mean squared norm); the solvers and the orbit scans use only those.  Here
+each row of a block must agree with the per-point kernel, cut-locus
+refusals included, ``_log_mean`` must agree with the mean of the block's
+rows and refuse exactly when the block does, `barycenter_check` must agree
+with a point-by-point loop, and the stacked orbit scan must keep the
+lowest-index tie rule.
 """
 
 import math
@@ -16,7 +20,13 @@ from hypothesis import strategies as st
 from riemmean.core import rotation_exp
 from riemmean.equivariant import _scan_orbits
 from riemmean.errors import CutLocusError
-from riemmean.manifolds import CUT_TOL, SpecialOrthogonal, Sphere
+from riemmean.frechet import (
+    BOUNDARY_UNCLASSIFIED,
+    SHORT,
+    Configuration,
+    barycenter_check,
+)
+from riemmean.manifolds import CUT_TOL, DiagPos, Euclidean, SpecialOrthogonal, Sphere
 from riemmean.spd import (
     act,
     cover_manifold,
@@ -58,6 +68,30 @@ def so_stack(rng, m: int, size: int, offsets) -> tuple[np.ndarray, np.ndarray]:
     for i, offset in offsets:
         rows[i % size] = p @ rotation_near_pi(rng, m, offset)
     return p, np.stack(rows)
+
+
+def sphere_stack(rng, n: int, size: int, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """A base point of ``Sphere(n)`` and a (size, n + 1) stack of points;
+    the rows listed in ``offsets`` sit at angle pi - offset from the base."""
+    sphere = Sphere(n)
+    p = sphere._random_coords(rng)
+    rows = [sphere._random_coords(rng) for _ in range(size)]
+    for i, offset in offsets:
+        u = sphere._project(p, rng.standard_normal(n + 1))
+        u /= np.linalg.norm(u)
+        rows[i % size] = math.cos(math.pi - offset) * p + math.sin(math.pi - offset) * u
+    return p, np.stack(rows)
+
+
+def cover_stack(rng, size: int, offsets, k: float = 1.0):
+    """A base point of ``cover_manifold(3, k)`` and a (size, 12) stack around
+    it; the rotation parts listed in ``offsets`` sit at relative angle
+    pi - offset from the base's."""
+    cover = cover_manifold(3, k)
+    p_rot, rots = so_stack(rng, 3, size, offsets)
+    p = cover.join([p_rot, np.exp(rng.standard_normal(3))])
+    stack = np.stack([cover.join([R, np.exp(rng.standard_normal(3))]) for R in rots])
+    return cover, p, stack
 
 
 def check_log_parity(manifold, p, stack, tol, scalar_log):
@@ -148,6 +182,150 @@ def test_so_log_refuses_exactly_inside_the_cut_margin(seed, m, k, offset):
     except CutLocusError:
         refused = True
     assert refused == so._in_cut_locus(p, q, CUT_TOL)
+
+
+def check_mean_parity(manifold, p, stack, tol):
+    """`_log_mean` is the mean of the `_log_block` rows and of their squared
+    norms, within PARITY_TOL relative to the largest row entry (at least
+    1); it refuses iff the block does."""
+    try:
+        vecs, sq = manifold._log_block(p, stack, tol)
+    except CutLocusError:
+        with pytest.raises(CutLocusError):
+            manifold._log_mean(p, stack, tol)
+        return
+    mean, mean_sq = manifold._log_mean(p, stack, tol)
+    assert mean.shape == p.shape
+    scale = max(1.0, float(np.max(np.abs(vecs))))
+    assert np.max(np.abs(mean - vecs.mean(axis=0))) <= PARITY_TOL * scale
+    assert isinstance(mean_sq, float)
+    assert abs(mean_sq - sq.mean()) <= PARITY_TOL * max(1.0, sq.mean())
+
+
+near_pi_rows = st.lists(
+    st.tuples(st.integers(0, 6), st.sampled_from(NEAR_PI)), max_size=2
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=seeds,
+    n=st.sampled_from([1, 2, 3]),
+    size=st.integers(min_value=1, max_value=7),
+    near_pi=near_pi_rows,
+)
+def test_sphere_log_mean_matches_block(seed, n, size, near_pi):
+    p, stack = sphere_stack(rng_of(seed), n, size, near_pi)
+    check_mean_parity(Sphere(n), p, stack, CUT_TOL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=seeds,
+    m=st.sampled_from([2, 3, 4]),
+    k=st.sampled_from([0.25, 2.0, 4.0]),
+    size=st.integers(min_value=1, max_value=7),
+    near_pi=near_pi_rows,
+)
+def test_so_log_mean_matches_block(seed, m, k, size, near_pi):
+    p, stack = so_stack(rng_of(seed), m, size, near_pi)
+    check_mean_parity(SpecialOrthogonal(m, k), p, stack, CUT_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    size=st.integers(min_value=1, max_value=7),
+    near_pi=near_pi_rows,
+)
+def test_product_log_mean_matches_block(seed, size, near_pi):
+    cover, p, stack = cover_stack(rng_of(seed), size, near_pi)
+    check_mean_parity(cover, p, stack, CUT_TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    n=st.integers(min_value=1, max_value=4),
+    size=st.integers(min_value=1, max_value=7),
+    scale=st.sampled_from([1e-8, 1.0, 3.0]),
+)
+def test_flat_log_means_match_blocks(seed, n, size, scale):
+    """Euclidean and DiagPos have no cut locus: the mean never refuses."""
+    rng = rng_of(seed)
+    flat = rng.standard_normal((size + 1, n)) * scale
+    check_mean_parity(Euclidean(n), flat[0], flat[1:], CUT_TOL)
+    positive = np.exp(flat)
+    check_mean_parity(DiagPos(n), positive[0], positive[1:], CUT_TOL)
+
+
+def barycenter_check_per_point(Q, p, tol=CUT_TOL):
+    """`barycenter_check` as a loop over the points: the cut-locus test and
+    the log of each point in turn."""
+    m = Q.manifold
+    boundary = False
+    vecs = []
+    for q in Q.points:
+        if m._in_cut_locus(p.coords, q.coords, tol):
+            boundary = True
+            vecs.append(m._log(p.coords, q.coords, 1e-15))
+        else:
+            vecs.append(m._log(p.coords, q.coords, tol))
+    mean = np.mean(vecs, axis=0) if len(vecs) > 1 else vecs[0]
+    residual = math.sqrt(max(m._inner(p.coords, mean, mean), 0.0))
+    return residual, (BOUNDARY_UNCLASSIFIED if boundary else SHORT)
+
+
+def outcome(check, Q, p):
+    try:
+        return check(Q, p)
+    except CutLocusError:
+        return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["sphere", "so", "cover"]),
+    k=st.sampled_from([0.25, 1.0, 4.0]),
+    size=st.integers(min_value=1, max_value=7),
+    near_pi=st.lists(
+        st.tuples(st.integers(0, 6), st.sampled_from(NEAR_PI)), min_size=1, max_size=3
+    ),
+)
+def test_barycenter_check_matches_the_per_point_loop(seed, kind, k, size, near_pi):
+    """The batched check classifies, refuses and measures the residual as
+    the point-by-point loop does, also with data inside, at and around the
+    cut-locus margin.
+
+    On SO(3) and the cover the batched rows are the per-point logs' own
+    arithmetic, so the residuals agree within PARITY_TOL.  On the sphere the
+    batched angles come from other (equally rounded) dot products and
+    arctangents; a row at angle theta from ``p`` scales their rounding by
+    theta / sin(theta), the condition number of the log near the antipode
+    (a last-bit change of the data moves the log by that much), so there
+    the bound is PARITY_TOL times that factor.
+    """
+    rng = rng_of(seed)
+    condition = 1.0
+    if kind == "sphere":
+        manifold = Sphere(2)
+        p, stack = sphere_stack(rng, 2, size, near_pi)
+        theta = manifold._dist_block(p, stack)
+        condition = max(1.0, float(np.max(theta / np.maximum(np.sin(theta), 1e-300))))
+    elif kind == "so":
+        manifold = SpecialOrthogonal(3, k)
+        p, stack = so_stack(rng, 3, size, near_pi)
+    else:
+        manifold, p, stack = cover_stack(rng, size, near_pi, k)
+    Q = Configuration(manifold, tuple(manifold.point(q) for q in stack))
+    base = manifold.point(p)
+    got = outcome(barycenter_check, Q, base)
+    want = outcome(barycenter_check_per_point, Q, base)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[1] == want[1]
+        assert abs(got[0] - want[0]) <= PARITY_TOL * condition
 
 
 def test_scan_orbits_lowest_index_on_exact_ties():

@@ -229,6 +229,29 @@ def test_psr_artifacts_identical_with_cold_and_warm_cache(tmp_path, experiment):
     assert (tmp_path / "s.txt").read_bytes() == sum1
 
 
+def test_psr_uniqueness_builds_its_centre_orbit_once(tmp_path, monkeypatch):
+    """The sampler's d_sr rejection tests and each trial's d_psr all measure
+    from the fixed centre; its G(2) orbit is built once for the run."""
+    cfg = make_cfg(
+        tmp_path, experiment="psr_uniqueness", trials=3, sample_size=5,
+        **PSR_CONFIGS["psr_uniqueness"],
+    )
+    action = spd.gm_action(cfg.m, cfg.k)
+    centre = spd.eig_canonical(np.diag([2.0, 1.0])).to_point(action.cover)
+    builds = 0
+    orbit_stack = type(action).orbit_stack
+
+    def counting(self, p):
+        nonlocal builds
+        builds += np.array_equal(p.coords, centre.coords)
+        return orbit_stack(self, p)
+
+    monkeypatch.setattr(type(action), "orbit_stack", counting)
+    report = lab.run_experiment(cfg)
+    assert report.completed == 3
+    assert builds == 1
+
+
 @pytest.mark.parametrize("experiment", sorted(PSR_CONFIGS))
 def test_psr_repeat_run_replays_no_cached_samples(tmp_path, experiment):
     """A run over more matrices than the cache holds evicts its first

@@ -9,6 +9,7 @@ from conftest import curve_length, manifold_zoo, random_tangent, rng_for
 from riemmean.core import rotation_exp
 from riemmean.errors import CutLocusError, InvalidInputError
 from riemmean.manifolds import (
+    CUT_TOL,
     DiagPos,
     Euclidean,
     Point,
@@ -412,3 +413,62 @@ def test_so_inner_equals_its_tensordot_form_exactly(seed, m, k, scales):
     u, v = (random_tangent(so, p, rng, scale=s).vec for s in scales)
     X, Y = p.coords.T @ u, p.coords.T @ v
     assert so._inner(p.coords, u, v) == so.k * 0.5 * float(np.tensordot(X, Y))
+
+
+def sphere_dist_with_clip(p, q):
+    """`Sphere._dist` as first written, with `np.clip` and `np.linalg.norm`."""
+    c = float(np.clip(np.dot(p, q), -1.0, 1.0))
+    w = q - c * p
+    return math.atan2(np.linalg.norm(w), c)
+
+
+def sphere_log_with_clip(p, q, tol):
+    """`Sphere._log` as first written, with `np.clip` and `np.linalg.norm`."""
+    c = float(np.clip(np.dot(p, q), -1.0, 1.0))
+    w = q - c * p
+    theta = math.atan2(np.linalg.norm(w), c)
+    if theta > math.pi - tol:
+        raise CutLocusError("antipodal points: sphere log undefined")
+    if theta < 1e-16:
+        return np.zeros_like(p)
+    return (theta / math.sin(theta)) * w
+
+
+def sphere_pair(n: int, seed: int, kind: str):
+    rng = np.random.Generator(np.random.Philox(key=[0x5F1E, seed]))
+    sphere = Sphere(n)
+    p = sphere._random_coords(rng)
+    if kind == "random":
+        return p, sphere._random_coords(rng)
+    if kind == "identical":
+        return p, p.copy()
+    if kind == "antipodal":
+        return p, -p
+    q = p if kind == "near" else -p
+    q = q + 1e-9 * rng.standard_normal(n + 1)
+    return p, q / np.linalg.norm(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(["random", "identical", "antipodal", "near", "near_antipodal"]),
+)
+def test_sphere_dist_and_log_keep_their_bits(seed, n, kind):
+    """`objective` ranks the multistart runs with `Sphere._dist`, so its
+    float min/max clamp and ``sqrt(w @ w)`` must reproduce the `np.clip` and
+    `np.linalg.norm` forms bit for bit, and `_log` likewise (refusals
+    included)."""
+    sphere = Sphere(n)
+    p, q = sphere_pair(n, seed, kind)
+    for a, b in ((p, q), (q, p)):
+        assert sphere._dist(a, b) == sphere_dist_with_clip(a, b)
+        for tol in (CUT_TOL, 1e-15):
+            try:
+                want = sphere_log_with_clip(a, b, tol)
+            except CutLocusError:
+                with pytest.raises(CutLocusError):
+                    sphere._log(a, b, tol)
+                continue
+            assert np.array_equal(sphere._log(a, b, tol), want)

@@ -388,6 +388,37 @@ def test_d_sr_symmetry():
         done += 1
 
 
+def test_d_sr_builds_a_fixed_matrix_orbit_once(monkeypatch):
+    """Repeated distances to one fixed matrix (the lab's rejection tests
+    against its centre) build that matrix's orbit once and give the values
+    of a freshly built orbit bit for bit."""
+    action = gm_action(2, 1.0)
+    centre = np.diag([2.0, 1.0])
+    centre_point = eig_canonical(centre).to_point(action.cover)
+    rng = rng_for(96)
+    samples = [sample_spd(rng, 2, 0.5) for _ in range(6)]
+    fresh = [
+        float(
+            action.cover._dist_block(
+                eig_canonical(S).to_point(action.cover).coords,
+                action.orbit_stack(centre_point),
+            ).min()
+        )
+        for S in samples
+    ]
+    builds = []
+    orbit_stack = type(action).orbit_stack
+
+    def counting(self, p):
+        builds.append(p)
+        return orbit_stack(self, p)
+
+    monkeypatch.setattr(type(action), "orbit_stack", counting)
+    values = [d_sr(S, centre) for _ in range(3) for S in samples]
+    assert builds == [centre_point]
+    assert values == 3 * fresh
+
+
 # -- objective ------------------------------------------------------------------------
 
 
