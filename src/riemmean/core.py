@@ -168,18 +168,6 @@ def rotation_norm(R: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * np.einsum("...i,...i->...", theta, theta))
 
 
-def so_norm_from_identity(R: np.ndarray) -> float:
-    """Geodesic distance from the identity to ``R`` under the bi-invariant
-    metric ``<X, Y> = tr(X.T Y) / 2`` on skew matrices.
-
-    Each rotation plane with angle ``theta`` contributes ``theta**2``; the
-    half compensates for the doubled multiplicity in `rotation_angles`.
-    Defined for every ``R``, including angle-pi blocks.
-    """
-    theta = rotation_angles(R)
-    return math.sqrt(0.5 * float(np.dot(theta, theta)))
-
-
 def _refuse_pi(theta: np.ndarray, tol: float) -> None:
     if float(theta.max()) > math.pi - tol:
         raise CutLocusError("rotation has an angle-pi block; log is not unique")

@@ -155,6 +155,19 @@ def _descent_state(m: Manifold, Q: Configuration, coords: np.ndarray, cut_tol: f
     return direction, f, g
 
 
+def _check_descent_settings(tol, step, max_iter, cut_tol) -> None:
+    """Refuse settings no descent can honour, before any work: a
+    non-finite or non-positive ``tol`` or ``step``, a negative (or nan)
+    ``max_iter``, a non-finite or negative ``cut_tol``."""
+    for name, value in (("tol", tol), ("step", step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+    if not max_iter >= 0:
+        raise InvalidInputError(f"max_iter must be nonnegative, got {max_iter}")
+    if not (math.isfinite(cut_tol) and cut_tol >= 0.0):
+        raise InvalidInputError(f"cut_tol must be finite and nonnegative, got {cut_tol}")
+
+
 def karcher_descent(
     Q: Configuration,
     p0: Point,
@@ -183,7 +196,10 @@ def karcher_descent(
     `SHORT` (that state's log pass found every data point inside the
     ``cut_tol`` margin).  Only ``certify=True`` adds work, one
     `afsari_certificate`.
+
+    Bad settings (see `_check_descent_settings`) raise `InvalidInputError`.
     """
+    _check_descent_settings(tol, step, max_iter, cut_tol)
     m = Q.manifold
     m._own(p0)
     coords = p0.coords
@@ -259,8 +275,10 @@ def frechet_mean(
     coordinate vector is reported.  The reported ``objective`` is that
     ranking value, and ``barycenter_residual``, ``classification`` and
     ``afsari_certified`` come from one `barycenter_check` of the chosen
-    minimizer and one `afsari_certified` of the data.
+    minimizer and one `afsari_certified` of the data.  Bad settings raise
+    `InvalidInputError` before any seed runs, as in `karcher_descent`.
     """
+    _check_descent_settings(tol, step, max_iter, cut_tol)
     m = Q.manifold
     seeds: list[Point] = list(Q.points)
     if m.is_compact:

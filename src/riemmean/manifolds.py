@@ -45,6 +45,15 @@ blocks of one); its mean log is one matmul of ``p`` with the mean skew log.
 Products slice the stack's column ranges into factor blocks, and join the
 factor means and add the factor objectives.  This is the leading-batch-axis
 vectorization of Geomstats (Miolane et al., JMLR 2020).
+
+The sphere's kernels run on a few short rows (a C9 descent state is a 5 x 3
+stack), where numpy's per-call overhead costs more than the arithmetic, so
+they use the cheapest call forms: ``ndarray.dot`` instead of ``@`` /
+``np.dot`` (the same product, bit for bit), and in the block one
+``np.hypot.reduce`` per row norm instead of ``einsum`` plus ``sqrt`` (one
+ufunc call, scaled against overflow and underflow).  The per-point kernels
+keep their rounding, which `frechet.objective` ranks the multistart seeds
+by; the block's rows agree with them within rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -329,6 +338,12 @@ class Sphere(Manifold):
     Closed forms: ``exp_p(v) = cos|v| p + sin|v| v/|v|``; the log of ``q`` at
     ``p`` points along the projection of ``q`` off ``p`` with length
     ``arccos <p, q>``.  The cut locus of ``p`` is the antipode ``-p``.
+
+    Dot products are ``ndarray.dot`` calls, bitwise the ``@`` / ``np.dot``
+    forms with less overhead on a few entries.  `_angles_block` takes each
+    row's off-``p`` norm with one ``np.hypot.reduce``; the per-point `_dist`
+    and `_log` read it as ``sqrt(w.dot(w))`` after clamping the cosine, so
+    block rows and per-point values may differ in the last bits.
     """
 
     def __init__(self, n: int):
@@ -354,15 +369,15 @@ class Sphere(Manifold):
             raise InvalidInputError("vector is not tangent to the sphere")
 
     def _exp(self, p, v):
-        theta = math.sqrt(float(v @ v))
+        theta = math.sqrt(v.dot(v))
         sinc = 1.0 if theta < 1e-12 else math.sin(theta) / theta
         out = math.cos(theta) * p + sinc * v
-        return out / math.sqrt(float(out @ out))
+        return out / math.sqrt(out.dot(out))
 
     def _log(self, p, q, tol):
-        c = max(-1.0, min(1.0, float(np.dot(p, q))))
+        c = max(-1.0, min(1.0, float(p.dot(q))))
         w = q - c * p
-        theta = math.atan2(math.sqrt(float(w @ w)), c)
+        theta = math.atan2(math.sqrt(w.dot(w)), c)
         if theta > math.pi - tol:
             raise CutLocusError("antipodal points: sphere log undefined")
         if theta < 1e-16:
@@ -370,12 +385,12 @@ class Sphere(Manifold):
         return (theta / math.sin(theta)) * w
 
     def _dist(self, p, q):
-        c = max(-1.0, min(1.0, float(np.dot(p, q))))
+        c = max(-1.0, min(1.0, float(p.dot(q))))
         w = q - c * p
-        return math.atan2(math.sqrt(float(w @ w)), c)
+        return math.atan2(math.sqrt(w.dot(w)), c)
 
     def _inner(self, p, u, v):
-        return float(np.dot(u, v))
+        return float(u.dot(v))
 
     def _in_cut_locus(self, p, q, tol):
         return self._dist(p, q) > math.pi - tol
@@ -391,16 +406,16 @@ class Sphere(Manifold):
         return v / np.linalg.norm(v)
 
     def _angles_block(self, p, stack):
-        c = stack @ p
-        w = stack - c[:, None] * p
-        wn = np.sqrt(np.einsum("ij,ij->i", w, w))
-        return np.arctan2(wn, c), w
+        c = stack.dot(p)
+        w = stack - np.multiply.outer(c, p)
+        return np.arctan2(np.hypot.reduce(w, axis=1), c), w
 
     def _log_parts(self, p, stack, tol):
         # angles, log scale factors and off-p components of the stack's rows:
         # row k's log is ratio[k] * w[k] and its squared norm theta[k]**2
         theta, w = self._angles_block(p, stack)
-        if float(theta.max()) > math.pi - tol:
+        # the ufunc reduction itself, without ndarray.max's Python wrapper
+        if np.maximum.reduce(theta) > math.pi - tol:
             raise CutLocusError("antipodal points: sphere log undefined")
         # theta/sin(theta) is stable away from pi; at theta ~ 0 the factor is
         # irrelevant because w ~ 0

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import expm_sym, so_norm_from_identity, sym_eig
+from .core import expm_sym, rotation_norm, sym_eig
 from .equivariant import FiniteAction, QuotientPoint, efm_solve
 from .errors import DegenerateSpectrumError, InvalidInputError
 from .manifolds import DiagPos, Point, Product, SpecialOrthogonal, _frozen
@@ -275,7 +275,7 @@ def _gm_action(m: int, k: float) -> FiniteAction:
         elements,
         compose_table=compose,
         inverse_table=inverse,
-        displacement_floor=[sqrt_k * so_norm_from_identity(M) for M in matrices],
+        displacement_floor=[sqrt_k * rotation_norm(M) for M in matrices],
     )
 
 
@@ -441,7 +441,7 @@ def psr_constants(m: int, k: float = 1.0) -> PsrConstants:
     ``sqrt(k) beta_gp / 4``.
     """
     elements = group_enumerate(m)
-    beta_gp = min(so_norm_from_identity(h.matrix) for h in elements[1:])
+    beta_gp = min(float(rotation_norm(h.matrix)) for h in elements[1:])
     assert beta_gp <= math.pi / 2 + 1e-12
     sqrt_k = math.sqrt(k)
     return PsrConstants(

@@ -259,6 +259,89 @@ def test_flat_log_means_match_blocks(seed, n, size, scale):
     check_mean_parity(DiagPos(n), positive[0], positive[1:], CUT_TOL)
 
 
+def sphere_angles_with_einsum(p, stack):
+    """`Sphere._angles_block` as first written: ``stack @ p`` and the row
+    norms as ``sqrt(einsum)``."""
+    c = stack @ p
+    w = stack - c[:, None] * p
+    wn = np.sqrt(np.einsum("ij,ij->i", w, w))
+    return np.arctan2(wn, c), w
+
+
+def sphere_log_mean_with_einsum(p, stack, tol):
+    """`Sphere._log_mean` over `sphere_angles_with_einsum`."""
+    theta, w = sphere_angles_with_einsum(p, stack)
+    if float(theta.max()) > math.pi - tol:
+        raise CutLocusError("antipodal points: sphere log undefined")
+    ratio = theta / np.maximum(np.sin(theta), 1e-300)
+    n = len(theta)
+    return ratio.dot(w) / n, float(theta.dot(theta)) / n
+
+
+def sphere_stack_with_close_rows(rng, n, size, near_pi, close):
+    """`sphere_stack` plus rows equal to the base (angle 0) or at angle
+    1e-9 from it, at the indices listed in ``close``."""
+    p, stack = sphere_stack(rng, n, size, near_pi)
+    for i, angle in close:
+        u = Sphere(n)._project(p, rng.standard_normal(n + 1))
+        u /= np.linalg.norm(u)
+        stack[i % size] = p if angle == 0.0 else math.cos(angle) * p + math.sin(angle) * u
+    return p, stack
+
+
+close_rows = st.lists(st.tuples(st.integers(0, 6), st.sampled_from([0.0, 1e-9])), max_size=2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=seeds,
+    n=st.sampled_from([1, 2, 3]),
+    size=st.integers(min_value=1, max_value=7),
+    near_pi=near_pi_rows,
+    close=close_rows,
+)
+def test_sphere_dist_block_rows_match_per_point_dist(seed, n, size, near_pi, close):
+    """The block reads each row's norm with one `np.hypot` reduction and
+    the per-point `_dist` with ``sqrt(w.dot(w))`` after a clamp; distances
+    are well conditioned everywhere, so the rows agree within PARITY_TOL,
+    for identical rows, rows 1e-9 apart and rows next to the antipode."""
+    sphere = Sphere(n)
+    p, stack = sphere_stack_with_close_rows(rng_of(seed), n, size, near_pi, close)
+    dists = sphere._dist_block(p, stack)
+    assert dists.shape == (size,)
+    for d, q in zip(dists, stack):
+        assert abs(d - sphere._dist(p, q)) <= PARITY_TOL
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=seeds,
+    n=st.sampled_from([1, 2, 3]),
+    size=st.integers(min_value=1, max_value=7),
+    near_pi=near_pi_rows,
+    close=close_rows,
+)
+def test_sphere_log_mean_refuses_where_the_einsum_kernel_did(seed, n, size, near_pi, close):
+    """The `np.hypot` row norms move the angles by rounding only: the mean
+    log refuses exactly where the ``sqrt(einsum)`` kernel refused, and its
+    values agree within PARITY_TOL times the log's condition number
+    theta / sin(theta) (see `test_barycenter_check_matches_the_per_point_loop`)."""
+    sphere = Sphere(n)
+    p, stack = sphere_stack_with_close_rows(rng_of(seed), n, size, near_pi, close)
+    for tol in (CUT_TOL, 1e-15):
+        try:
+            want = sphere_log_mean_with_einsum(p, stack, tol)
+        except CutLocusError:
+            with pytest.raises(CutLocusError):
+                sphere._log_mean(p, stack, tol)
+            continue
+        mean, mean_sq = sphere._log_mean(p, stack, tol)
+        theta = sphere_angles_with_einsum(p, stack)[0]
+        condition = max(1.0, float(np.max(theta / np.maximum(np.sin(theta), 1e-300))))
+        assert np.max(np.abs(mean - want[0])) <= PARITY_TOL * condition
+        assert abs(mean_sq - want[1]) <= PARITY_TOL * max(1.0, want[1])
+
+
 def barycenter_check_per_point(Q, p, tol=CUT_TOL):
     """`barycenter_check` as a loop over the points: the cut-locus test and
     the log of each point in turn."""

@@ -14,7 +14,7 @@ from riemmean.core import (
     rotation_angles,
     rotation_exp,
     rotation_log,
-    so_norm_from_identity,
+    rotation_norm,
     sym_eig,
 )
 from riemmean.errors import CutLocusError, InvalidInputError
@@ -103,7 +103,7 @@ def test_rotation_exp_log_roundtrip():
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-10)
         if max(rotation_angles(R)) < math.pi - 1e-6:
             # principal log of exp(X) recovers X when no angle reaches pi
-            if so_norm_from_identity(R) >= math.sqrt(0.5) * float(
+            if float(rotation_norm(R)) >= math.sqrt(0.5) * float(
                 np.sqrt(np.tensordot(X, X))
             ) - 1e-9:
                 assert np.max(np.abs(rotation_log(R) - X)) < 1e-8
@@ -137,10 +137,40 @@ def test_minimal_rotation_logs_continuum_refused():
         minimal_rotation_logs(-np.eye(4))
 
 
-def test_so_norm_from_identity_quarter_turn():
+def test_rotation_norm_quarter_turn():
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert so_norm_from_identity(R) == pytest.approx(math.pi / 2, abs=1e-14)
-    assert so_norm_from_identity(-np.eye(2)) == pytest.approx(math.pi, abs=1e-14)
+    assert rotation_norm(R) == pytest.approx(math.pi / 2, abs=1e-14)
+    assert rotation_norm(-np.eye(2)) == pytest.approx(math.pi, abs=1e-14)
+
+
+def norm_from_angles(R):
+    """The removed ``so_norm_from_identity``: the root-sum-square of the
+    per-eigenvector angles of `rotation_angles`, halved for the doubled
+    multiplicity of each plane."""
+    theta = rotation_angles(R)
+    return math.sqrt(0.5 * float(np.dot(theta, theta)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_rotation_norm_of_signed_permutations_keeps_the_old_bits(m):
+    """The G(m) displacement floors and `psr_constants` read
+    `rotation_norm` of signed permutation matrices (angles exactly 0, pi/2
+    and pi); it must give the old per-angle form's values bit for bit, so
+    every constant and the psr_m2_ball sampling radius stay the same."""
+    from riemmean.spd import gm_action, group_enumerate, psr_constants
+
+    matrices = [h.matrix for h in group_enumerate(m)]
+    old = [norm_from_angles(M) for M in matrices]
+    assert [float(rotation_norm(M)) for M in matrices] == old
+    beta_old = min(old[1:])
+    for k in (0.25, 1.0, 4.0):
+        c = psr_constants(m, k)
+        sqrt_k = math.sqrt(k)
+        assert type(c.beta_gp) is float
+        assert c.beta_gp == beta_old
+        assert c.r_inj_quotient == sqrt_k * beta_old / 2.0
+        assert c.r_cx_quotient == sqrt_k * beta_old / 4.0
+    assert gm_action(m, 4.0).displacement_floor == [2.0 * x for x in old]
 
 
 # -- closed-form one-plane kernels against the eigh path -------------------------

@@ -156,6 +156,55 @@ def test_karcher_repeated_point_zero_iterations():
     assert sph.dist(res.minimizer, p) == 0.0
 
 
+BAD_DESCENT_SETTINGS = [
+    {"tol": math.nan},
+    {"tol": 0.0},
+    {"tol": -1.0},
+    {"tol": math.inf},
+    {"step": math.nan},
+    {"step": 0.0},
+    {"step": -1.0},
+    {"step": math.inf},
+    {"max_iter": -3},
+    {"max_iter": math.nan},
+    {"cut_tol": math.nan},
+    {"cut_tol": math.inf},
+    {"cut_tol": -1e-8},
+]
+
+
+@pytest.mark.parametrize("solver", ["karcher_descent", "frechet_mean"])
+@pytest.mark.parametrize(
+    "bad", BAD_DESCENT_SETTINGS, ids=lambda bad: "{}={}".format(*next(iter(bad.items())))
+)
+def test_descent_refuses_bad_settings_where_they_enter(solver, bad, monkeypatch):
+    """A setting no descent can honour is refused before any descent state
+    is formed, not turned into "no convergence" after 10000 iterations."""
+
+    def no_state(*args):
+        raise AssertionError("a descent state was formed")
+
+    monkeypatch.setattr("riemmean.frechet._descent_state", no_state)
+    sph = Sphere(2)
+    pts = (sph.point([1.0, 0.0, 0.0]), sph.point([0.0, 1.0, 0.0]))
+    Q = Configuration(sph, pts)
+    with pytest.raises(InvalidInputError, match=next(iter(bad))):
+        if solver == "karcher_descent":
+            karcher_descent(Q, pts[0], **bad)
+        else:
+            frechet_mean(Q, **bad)
+
+
+def test_descent_accepts_edge_settings():
+    """The edges of the accepted ranges still run: no iterations allowed
+    (``max_iter=0``) at a converged start, and no cut margin."""
+    sph = Sphere(2)
+    p = sph.point([0.0, 1.0, 0.0])
+    Q = Configuration(sph, (p, p))
+    assert karcher_descent(Q, p, max_iter=0, cut_tol=0.0).iterations == 0
+    assert frechet_mean(Q, max_iter=0).iterations == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),

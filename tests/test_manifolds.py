@@ -472,3 +472,63 @@ def test_sphere_dist_and_log_keep_their_bits(seed, n, kind):
                     sphere._log(a, b, tol)
                 continue
             assert np.array_equal(sphere._log(a, b, tol), want)
+
+
+def sphere_exp_with_matmul(p, v):
+    """`Sphere._exp` with ``@`` for its two squared norms."""
+    theta = math.sqrt(float(v @ v))
+    sinc = 1.0 if theta < 1e-12 else math.sin(theta) / theta
+    out = math.cos(theta) * p + sinc * v
+    return out / math.sqrt(float(out @ out))
+
+
+def sphere_dist_with_np_dot(p, q):
+    """`Sphere._dist` with `np.dot` for the cosine and ``@`` for |w|^2."""
+    c = max(-1.0, min(1.0, float(np.dot(p, q))))
+    w = q - c * p
+    return math.atan2(math.sqrt(float(w @ w)), c)
+
+
+def sphere_log_with_np_dot(p, q, tol):
+    """`Sphere._log` with `np.dot` for the cosine and ``@`` for |w|^2."""
+    c = max(-1.0, min(1.0, float(np.dot(p, q))))
+    w = q - c * p
+    theta = math.atan2(math.sqrt(float(w @ w)), c)
+    if theta > math.pi - tol:
+        raise CutLocusError("antipodal points: sphere log undefined")
+    if theta < 1e-16:
+        return np.zeros_like(p)
+    return (theta / math.sin(theta)) * w
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(["random", "identical", "antipodal", "near", "near_antipodal"]),
+    scales=st.tuples(*[st.sampled_from([0.0, 1e-13, 1e-8, 1e-3, 1.0, 3.0, 10.0])] * 2),
+)
+def test_sphere_per_point_kernels_keep_their_matmul_bits(seed, n, kind, scales):
+    """The per-point sphere kernels use `ndarray.dot`, which has less call
+    overhead than ``@`` / `np.dot` on a few entries.  `objective` ranks the
+    multistart seeds with `_dist` and every descent step runs `_exp` and
+    `_inner`, so each must equal its ``@`` / `np.dot` form bit for bit
+    (refusals included)."""
+    sphere = Sphere(n)
+    p, q = sphere_pair(n, seed, kind)
+    rng = np.random.Generator(np.random.Philox(key=[0xD07, seed]))
+    u, v = (s * sphere._project(p, rng.standard_normal(n + 1)) for s in scales)
+    for a, b in ((p, q), (q, p)):
+        assert sphere._dist(a, b) == sphere_dist_with_np_dot(a, b)
+        for tol in (CUT_TOL, 1e-15):
+            try:
+                want = sphere_log_with_np_dot(a, b, tol)
+            except CutLocusError:
+                with pytest.raises(CutLocusError):
+                    sphere._log(a, b, tol)
+                continue
+            assert np.array_equal(sphere._log(a, b, tol), want)
+    for w in (u, v):
+        assert np.array_equal(sphere._exp(p, w), sphere_exp_with_matmul(p, w))
+    assert sphere._inner(p, u, v) == float(np.dot(u, v))
+    assert sphere._inner(p, v, v) == float(np.dot(v, v))
