@@ -137,14 +137,6 @@ def _one_plane(R: np.ndarray) -> bool:
     return R.shape[-1] <= 3
 
 
-def max_rotation_angle(R: np.ndarray) -> float:
-    """Largest rotation angle of ``R`` or of any matrix of a stack; the
-    angle `rotation_log` refuses near pi, read the same way."""
-    R = np.asarray(R, dtype=float)
-    theta = plane_angle(R)[0] if _one_plane(R) else angle_frame(R)[0]
-    return float(theta.max())
-
-
 def rotation_angles(R: np.ndarray) -> np.ndarray:
     """Principal rotation angles of ``R`` (or of each matrix of a stack),
     descending, one per eigenvector as in `angle_frame`: each rotation plane

@@ -29,8 +29,6 @@ from .errors import (
 )
 from .manifolds import (
     CUT_TOL,
-    DiagPos,
-    Euclidean,
     Manifold,
     Point,
     Product,
@@ -85,12 +83,14 @@ class MeanResult:
 
     From `karcher_descent`, the numeric fields come from the descent's
     final state: ``objective`` and ``grad_norm`` are its last objective
-    and gradient norm, ``barycenter_residual`` equals
-    ``grad_norm`` (the balance residual is the gradient norm at the
-    minimizer), and ``classification`` is `SHORT` because the last log pass
-    succeeded, so every data point lies inside the cut-locus margin.
-    `frechet_mean` instead reports ``objective(Q, minimizer)`` and a fresh
-    `barycenter_check` of the minimizer it chose.
+    and gradient norm, ``barycenter_residual`` equals ``grad_norm`` (the
+    balance residual is the gradient norm at the minimizer), and
+    ``classification`` is `SHORT` because the last log pass succeeded, so
+    every data point lies inside the cut-locus margin.  That pass is the
+    one a `barycenter_check` of the minimizer at the descent's ``cut_tol``
+    makes, so the two agree bit for bit.  `frechet_mean` reports its chosen
+    run's fields, except that ``objective`` is ``objective(Q, minimizer)``,
+    the per-point value it ranks the runs by.
     """
 
     minimizer: Point
@@ -176,7 +176,6 @@ def karcher_descent(
     max_iter: int = DEFAULT_MAX_ITER,
     cut_tol: float = CUT_TOL,
     certify: bool = True,
-    trace: list[float] | None = None,
 ) -> MeanResult:
     """Gradient descent ``p <- exp(p, step * Y_Q(p))`` with backtracking
     halving whenever the objective fails to decrease.
@@ -205,8 +204,6 @@ def karcher_descent(
     coords = p0.coords
     direction, f, g = _descent_state(m, Q, coords, cut_tol)
     iterations = 0
-    if trace is not None:
-        trace.append(f)
     while True:
         if g < tol:
             break
@@ -230,8 +227,6 @@ def karcher_descent(
                 coords, direction, f, g = cand, cand_dir, cand_f, cand_g
                 iterations += 1
                 accepted = True
-                if trace is not None:
-                    trace.append(f)
                 break
             s *= 0.5
         if not accepted:
@@ -273,9 +268,11 @@ def frechet_mean(
     ``10 * tol`` of one another.  Among distinct minimizers with objectives
     within ``10 * tol`` of the best, the lexicographically smallest
     coordinate vector is reported.  The reported ``objective`` is that
-    ranking value, and ``barycenter_residual``, ``classification`` and
-    ``afsari_certified`` come from one `barycenter_check` of the chosen
-    minimizer and one `afsari_certified` of the data.  Bad settings raise
+    ranking value.  ``grad_norm``, ``barycenter_residual`` (equal to it),
+    ``classification`` (`SHORT`) and ``iterations`` are the chosen run's,
+    read off its final descent state, whose log pass is the one
+    ``barycenter_check(Q, minimizer, cut_tol)`` makes.  ``afsari_certified``
+    comes from one `afsari_certified` of the data.  Bad settings raise
     `InvalidInputError` before any seed runs, as in `karcher_descent`.
     """
     _check_descent_settings(tol, step, max_iter, cut_tol)
@@ -306,16 +303,8 @@ def frechet_mean(
     else:
         ties = [r for r in runs if r.objective <= best.objective + 10.0 * tol]
         chosen = min(ties, key=lambda r: _lex_key(r.minimizer))
-    residual, classification = barycenter_check(Q, chosen.minimizer, cut_tol)
-    return MeanResult(
-        minimizer=chosen.minimizer,
-        objective=chosen.objective,
-        grad_norm=chosen.grad_norm,
-        iterations=chosen.iterations,
-        multistart_agreement=agreement,
-        afsari_certified=afsari_certified(Q),
-        barycenter_residual=residual,
-        classification=classification,
+    return replace(
+        chosen, multistart_agreement=agreement, afsari_certified=afsari_certified(Q)
     )
 
 
@@ -476,8 +465,10 @@ def forward_directional_derivative(
         )
     manifold._same_base(p, v)
     manifold._own(q)
-    if not manifold.in_cut_locus(p, q, tol):
+    try:
         return -2.0 * manifold.inner(p, v, manifold.log(p, q, tol))
+    except CutLocusError:
+        pass  # q is within tol of the cut locus of p
     if isinstance(manifold, Sphere):
         return -2.0 * math.pi * manifold.norm(p, v)
     if isinstance(manifold, SpecialOrthogonal):
@@ -487,6 +478,4 @@ def forward_directional_derivative(
             lift = p.coords @ X
             best = max(best, manifold._inner(p.coords, v.vec, lift))
         return -2.0 * best
-    if isinstance(manifold, (Euclidean, DiagPos)):  # empty cut locus
-        return -2.0 * manifold.inner(p, v, manifold.log(p, q, tol))
     raise UnsupportedManifoldError(f"unsupported manifold {manifold.manifold_id!r}")

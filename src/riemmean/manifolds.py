@@ -21,27 +21,35 @@ are caught early.  Every operation is a pure function; manifold descriptors
 are immutable after construction.  Coordinates must be finite: a NaN or
 infinite entry is refused where a point or tangent is wrapped.
 
-Besides the per-point kernels (``_log``, ``_dist``, ...), every kind has
-batched kernels over a stack of points of shape ``(K,) + shape``:
+Each kind writes its per-point kernels ``_exp``, ``_log``, ``_dist`` and
+``_inner``, and two batched kernels over a stack of points of shape
+``(K,) + shape``:
 
 * ``_dist_block(p, stack)`` -- the K distances from ``p``;
-* ``_log_block(p, stack, tol)`` -- the K logs at ``p`` as rows (stacked like
-  the input) with their squared norms;
-* ``_log_mean(p, stack, tol)`` -- only the mean of those logs and their
-  mean squared norm (the mean squared distance), formed in the same pass
-  as the logs instead of from K rows.
+* ``_log_mean(p, stack, tol)`` -- the mean of the K logs at ``p`` and their
+  mean squared norm (the mean squared distance), formed in one pass without
+  the individual rows.
 
-Both log kernels raise `CutLocusError` exactly when some row is within
-``tol`` of the cut locus of ``p``, and each kind writes its formulas once,
-in a helper both share.  The solvers need only means, so the Karcher
-descent states, the gradient field and the barycenter check call
-``_log_mean``; ``_log_block`` keeps the rows, which the tests compare one by
-one with the per-point ``_log``.  Every minimum over a group orbit and the
-concentration certificate call ``_dist_block``.  SO(m) forms
-all relative rotations of a stack with one broadcast matmul and reads their
-angles in closed form for m <= 3, where each turns a single plane, or from
-one batched ``eigh`` for m >= 4 (its per-point ``_log`` and ``_dist`` are
-blocks of one); its mean log is one matmul of ``p`` with the mean skew log.
+`_log` raises `CutLocusError` when ``q`` is within ``tol`` of the cut locus
+of ``p``, and that refusal is the one cut-locus rule: the base class derives
+from it
+
+* ``_in_cut_locus(p, q, tol)`` -- True iff `_log` refuses ``q``;
+* ``_log_block(p, stack, tol)`` -- the `_log` rows (stacked like the input)
+  with their squared norms under `_inner`, refusing iff some row does.
+
+So a point is in the cut locus iff its log refuses, and the block's rows are
+the per-point logs, by construction.  Only the sphere keeps its own
+``_log_block``, on the helper its ``_log_mean`` shares.  ``_log_mean``
+refuses exactly when some row is within ``tol`` of the cut locus.  The
+solvers need only means, so the Karcher descent states, the gradient field
+and the barycenter check call ``_log_mean``; no solver calls
+``_log_block``.  Every minimum over a group orbit and the concentration
+certificate call ``_dist_block``.  SO(m) forms all relative rotations of a
+stack with one broadcast matmul and reads their angles in closed form for
+m <= 3, where each turns a single plane, or from one batched ``eigh`` for
+m >= 4 (its per-point ``_log`` and ``_dist`` are blocks of one); its mean
+log is one matmul of ``p`` with the mean skew log.
 Products slice the stack's column ranges into factor blocks, and join the
 factor means and add the factor objectives.  This is the leading-batch-axis
 vectorization of Geomstats (Miolane et al., JMLR 2020).
@@ -67,7 +75,6 @@ import numpy as np
 from .core import (
     INF,
     MetricConstants,
-    max_rotation_angle,
     rotation_exp,
     rotation_log,
     rotation_norm,
@@ -197,7 +204,8 @@ class Manifold:
         return math.sqrt(max(self.inner(p, v, v), 0.0))
 
     def in_cut_locus(self, p: Point, q: Point, tol: float = CUT_TOL) -> bool:
-        """True iff ``q`` is within ``tol`` of the cut locus of ``p``."""
+        """True iff ``q`` is within ``tol`` of the cut locus of ``p``, that
+        is iff ``log(p, q, tol)`` raises `CutLocusError`."""
         self._own(p)
         self._own(q)
         return self._in_cut_locus(p.coords, q.coords, tol)
@@ -241,15 +249,10 @@ class Manifold:
     def _dist(self, p: np.ndarray, q: np.ndarray) -> float:
         raise NotImplementedError
 
-    def _log_block(self, p: np.ndarray, stack: np.ndarray, tol: float):
-        """Logs at ``p`` of every row of ``stack`` (same shape as ``stack``)
-        and their squared norms; `CutLocusError` if any row is cut."""
-        raise NotImplementedError
-
     def _log_mean(self, p: np.ndarray, stack: np.ndarray, tol: float):
         """``(mean_log, mean_sq)``: the mean of the logs at ``p`` of the rows
         of ``stack`` (shaped like ``p``) and the mean of their squared norms,
-        without forming the rows; refuses exactly as `_log_block` does."""
+        without forming the rows; refuses iff some row's `_log` does."""
         raise NotImplementedError
 
     def _dist_block(self, p: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -257,9 +260,6 @@ class Manifold:
         raise NotImplementedError
 
     def _inner(self, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def _in_cut_locus(self, p: np.ndarray, q: np.ndarray, tol: float) -> bool:
         raise NotImplementedError
 
     def _project(self, p: np.ndarray, ambient: np.ndarray) -> np.ndarray:
@@ -270,6 +270,23 @@ class Manifold:
 
     def _random_coords(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
+
+    # -- derived from `_log`, the one cut-locus rule of every kind ------------
+
+    def _in_cut_locus(self, p: np.ndarray, q: np.ndarray, tol: float) -> bool:
+        """True iff `_log` refuses ``q`` at ``p`` with margin ``tol``."""
+        try:
+            self._log(p, q, tol)
+        except CutLocusError:
+            return True
+        return False
+
+    def _log_block(self, p: np.ndarray, stack: np.ndarray, tol: float):
+        """Logs at ``p`` of every row of ``stack`` (same shape as ``stack``)
+        and their squared norms: the per-point `_log` rows, so the block
+        raises `CutLocusError` iff some row's log does."""
+        vecs = np.stack([self._log(p, q, tol) for q in stack])
+        return vecs, np.array([self._inner(p, v, v) for v in vecs])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.manifold_id!r})"
@@ -307,9 +324,6 @@ class Euclidean(Manifold):
     def _inner(self, p, u, v):
         return float(np.dot(u, v))
 
-    def _in_cut_locus(self, p, q, tol):
-        return False
-
     def _project(self, p, ambient):
         return ambient
 
@@ -318,10 +332,6 @@ class Euclidean(Manifold):
 
     def _random_coords(self, rng):
         return rng.standard_normal(self.n)
-
-    def _log_block(self, p, stack, tol):
-        vecs = stack - p
-        return vecs, np.einsum("ij,ij->i", vecs, vecs)
 
     def _log_mean(self, p, stack, tol):
         vecs = stack - p
@@ -392,9 +402,6 @@ class Sphere(Manifold):
     def _inner(self, p, u, v):
         return float(u.dot(v))
 
-    def _in_cut_locus(self, p, q, tol):
-        return self._dist(p, q) > math.pi - tol
-
     def _project(self, p, ambient):
         return ambient - np.dot(p, ambient) * p
 
@@ -422,6 +429,9 @@ class Sphere(Manifold):
         ratio = theta / np.maximum(np.sin(theta), 1e-300)
         return theta, ratio, w
 
+    # the sphere keeps its own block: its rows come from the `_log_parts`
+    # that `_log_mean` shares, and near the antipode they round differently
+    # from the per-point `_log`
     def _log_block(self, p, stack, tol):
         theta, ratio, w = self._log_parts(p, stack, tol)
         return ratio[:, None] * w, theta * theta
@@ -450,8 +460,9 @@ class SpecialOrthogonal(Manifold):
     closed forms (`core.plane_angle`, Rodrigues' exp): the distance is
     ``sqrt(k) * theta`` and the log the skew part scaled to norm ``theta``.
     For m >= 4 they read the planes off a batched ``eigh``
-    (`core.angle_frame`).  Either way ``_in_cut_locus`` reads the angle as
-    ``_log`` does, so a point is in the cut locus iff ``_log`` refuses it.
+    (`core.angle_frame`).  Either way `_log` refuses a relative angle
+    within ``tol / sqrt(k)`` of pi, and the base class reads the cut-locus
+    predicate off that refusal.
     """
 
     def __init__(self, m: int, k: float = 1.0):
@@ -501,13 +512,6 @@ class SpecialOrthogonal(Manifold):
         Y = p.T @ v
         return self.k * 0.5 * float(np.vdot(X, Y))
 
-    def _in_cut_locus(self, p, q, tol):
-        # tol is a distance; convert to an angle via the sqrt(k) scaling.
-        # The angle is read as `rotation_log` reads it in _log_block, so a
-        # point is in the cut locus iff _log refuses it.
-        theta = max_rotation_angle(self._relative(p, q))
-        return theta > math.pi - tol / math.sqrt(self.k)
-
     def _project(self, p, ambient):
         X = p.T @ ambient
         return p @ (0.5 * (X - X.T))
@@ -534,12 +538,9 @@ class SpecialOrthogonal(Manifold):
     def _skew_logs(self, p, stack, tol):
         # the skew logs X_k of the relative rotations p.T @ Q_k, shape
         # (K, m, m): the log of Q_k at p is p @ X_k, of squared norm
-        # k/2 |X_k|^2.  The margin tol is a distance, as in _in_cut_locus
+        # k/2 |X_k|^2.  The margin tol is a distance, so the angle margin
+        # is tol / sqrt(k)
         return rotation_log(self._relative(p, stack), tol / math.sqrt(self.k))
-
-    def _log_block(self, p, stack, tol):
-        X = self._skew_logs(p, stack, tol)
-        return (p @ X).reshape(stack.shape), self.k * 0.5 * np.einsum("kij,kij->k", X, X)
 
     def _log_mean(self, p, stack, tol):
         X = self._skew_logs(p, stack, tol)
@@ -585,9 +586,6 @@ class DiagPos(Manifold):
     def _inner(self, p, u, v):
         return float(np.sum(u * v / (p * p)))
 
-    def _in_cut_locus(self, p, q, tol):
-        return False
-
     def _project(self, p, ambient):
         return ambient
 
@@ -601,10 +599,6 @@ class DiagPos(Manifold):
         # entrywise log differences: row k's log is p * diff[k] and its
         # squared norm |diff[k]|^2
         return np.log(stack) - np.log(p)
-
-    def _log_block(self, p, stack, tol):
-        diff = self._log_diff(p, stack)
-        return p * diff, np.einsum("ij,ij->i", diff, diff)
 
     def _log_mean(self, p, stack, tol):
         diff = self._log_diff(p, stack)
@@ -692,15 +686,6 @@ class Product(Manifold):
             )
         )
 
-    def _log_block(self, p, stack, tol):
-        vecs = []
-        sq = 0.0
-        for f, pp, block in zip(self.factors, self.split(p), self._split_block(stack)):
-            v, s = f._log_block(pp, block, tol)
-            vecs.append(v.reshape(len(stack), -1))
-            sq = sq + s
-        return np.concatenate(vecs, axis=1), sq
-
     def _log_mean(self, p, stack, tol):
         means = []
         mean_sq = 0.0
@@ -722,12 +707,6 @@ class Product(Manifold):
             for f, pp, uu, vv in zip(
                 self.factors, self.split(p), self.split(u), self.split(v)
             )
-        )
-
-    def _in_cut_locus(self, p, q, tol):
-        return any(
-            f._in_cut_locus(pp, qq, tol)
-            for f, pp, qq in zip(self.factors, self.split(p), self.split(q))
         )
 
     def _project(self, p, ambient):

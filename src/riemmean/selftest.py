@@ -16,6 +16,7 @@ from . import frechet as fr
 from . import spd
 from .core import rcx_from_constants, rotation_exp, rotation_log, sym_eig
 from .errors import CutLocusError
+from .lab import sample_in_ball
 from .manifolds import (
     DiagPos,
     Euclidean,
@@ -46,12 +47,7 @@ def _manifold_zoo() -> list[Manifold]:
 
 def _nearby_pair(m: Manifold, rng) -> tuple:
     p = m.random_point(rng)
-    ambient = rng.standard_normal(p.coords.shape)
-    vec = m.project(p, ambient)
-    norm = math.sqrt(max(m._inner(p.coords, vec, vec), 0.0))
-    radius = 0.8 * min(m.constants.r_inj, 3.0)
-    vec = vec * (radius * rng.random() / max(norm, 1e-300))
-    return p, m.exp(p, Tangent(p, vec))
+    return p, sample_in_ball(rng, m, p, 0.8 * min(m.constants.r_inj, 3.0))
 
 
 def suite_core() -> list[Check]:
@@ -131,22 +127,13 @@ def suite_frechet() -> list[Check]:
     ok = True
     for _ in range(10):
         base = sphere.random_point(rng)
-        pts = [
-            eqv_sample_ball(sphere, base, 0.4, rng) for _ in range(5)
-        ]
+        pts = [sample_in_ball(rng, sphere, base, 0.4) for _ in range(5)]
         res = fr.frechet_mean(fr.Configuration(sphere, tuple(pts)))
         ok &= res.barycenter_residual < 1e-9
         ok &= res.afsari_certified
         ok &= res.multistart_agreement
     checks.append(("concentrated sphere means: residual + certificate", ok))
     return checks
-
-
-def eqv_sample_ball(m: Manifold, center, radius: float, rng):
-    ambient = rng.standard_normal(center.coords.shape)
-    vec = m.project(center, ambient)
-    norm = math.sqrt(max(m._inner(center.coords, vec, vec), 0.0))
-    return m.exp(center, Tangent(center, vec * (radius * rng.random() / max(norm, 1e-300))))
 
 
 def suite_equivariant() -> list[Check]:
@@ -177,7 +164,7 @@ def suite_equivariant() -> list[Check]:
     for _ in range(5):
         center_rep = sphere.random_point(rng)
         pts = [
-            eqv.QuotientPoint(eqv_sample_ball(sphere, center_rep, 0.6, rng))
+            eqv.QuotientPoint(sample_in_ball(rng, sphere, center_rep, 0.6))
             for _ in range(4)
         ]
         sheets = eqv.even_cover_lifts(action, eqv.QuotientPoint(center_rep), 0.6, pts)

@@ -259,13 +259,14 @@ def gm_action(m: int, k: float = 1.0) -> FiniteAction:
 def _gm_action(m: int, k: float) -> FiniteAction:
     elements = group_enumerate(m)
     matrices = [h.matrix for h in elements]
-    keys = {_int_key(M): i for i, M in enumerate(matrices)}
+    # signed permutations are exact in int8, and so are their products; an
+    # element is looked up by its matrix's bytes
+    signed = np.stack(matrices).astype(np.int8)
+    keys = {M.tobytes(): i for i, M in enumerate(signed)}
     n = len(elements)
-    compose = np.empty((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            compose[i, j] = keys[_int_key(matrices[i] @ matrices[j])]
-    inverse = np.array([keys[_int_key(M.T)] for M in matrices], dtype=int)
+    products = np.einsum("aij,bjk->abik", signed, signed).reshape(n * n, m, m)
+    compose = np.array([keys[P.tobytes()] for P in products], dtype=int).reshape(n, n)
+    inverse = np.array([keys[M.T.tobytes()] for M in signed], dtype=int)
     # the action is shared by every caller of gm_action
     compose.flags.writeable = False
     inverse.flags.writeable = False
@@ -307,10 +308,6 @@ class _SignedPermutationAction(FiniteAction):
     def orbit(self, p: Point) -> list[Point]:
         # rows of one frozen product are themselves read-only
         return [Point(p.manifold_id, row) for row in _frozen(self.orbit_stack(p))]
-
-
-def _int_key(M: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(round(x)) for x in M.ravel())
 
 
 def d_psr(

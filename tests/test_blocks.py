@@ -2,12 +2,15 @@
 
 Every manifold kind has three batched kernels: ``_dist_block``,
 ``_log_block`` (the logs as rows) and ``_log_mean`` (only their mean and
-mean squared norm); the solvers and the orbit scans use only those.  Here
-each row of a block must agree with the per-point kernel, cut-locus
-refusals included, ``_log_mean`` must agree with the mean of the block's
-rows and refuse exactly when the block does, `barycenter_check` must agree
-with a point-by-point loop, and the stacked orbit scan must keep the
-lowest-index tie rule.
+mean squared norm).  The base class derives ``_log_block`` (except on the
+sphere) and the cut-locus predicate from the per-point ``_log``; the
+solvers and the orbit scans use only ``_dist_block`` and ``_log_mean``.
+Here each row of a block must agree with the per-point kernel, cut-locus
+refusals included, a point must be in the cut locus iff its log refuses,
+``_log_mean`` must agree with the mean of the block's rows and refuse
+exactly when the block does, `barycenter_check` must agree with a
+point-by-point loop, and the stacked orbit scan must keep the lowest-index
+tie rule.
 """
 
 import math
@@ -158,30 +161,57 @@ def test_product_blocks_match_per_point_kernels(seed, size, near_pi):
     check_log_parity(cover, p, stack, CUT_TOL, cover._log)
 
 
-@settings(max_examples=80, deadline=None)
+def log_refuses(manifold, p, q, tol) -> bool:
+    try:
+        manifold._log(p, q, tol)
+    except CutLocusError:
+        return True
+    return False
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     seed=seeds,
+    kind=st.sampled_from(["so", "sphere", "cover", "flat"]),
     m=st.sampled_from([2, 3, 4]),
     k=st.sampled_from([0.25, 1.0, 4.0]),
     offset=st.sampled_from(
         [0.0, 0.25, 0.5, 0.7, 0.9, 1.0, 1.1, 1.5, 2.0, 2.5, 4.0, 100.0]
     ),
 )
-@example(seed=0, m=4, k=4.0, offset=0.7)
-def test_so_log_refuses_exactly_inside_the_cut_margin(seed, m, k, offset):
-    """The margin ``tol`` is a distance in both predicates: at relative
-    angle ``pi - offset * CUT_TOL`` the log raises iff the point is within
-    ``CUT_TOL`` of the cut locus, for every metric scale ``k``."""
-    so = SpecialOrthogonal(m, k)
+@example(seed=0, kind="so", m=4, k=4.0, offset=0.7)
+def test_in_cut_locus_iff_log_refuses(seed, kind, m, k, offset):
+    """A point is in the cut locus iff its log refuses it, on every kind:
+    SO(m, k) and the cover ``cover_manifold(3, k)`` at relative angle
+    ``pi - offset * CUT_TOL``, ``Sphere(2)`` at that angle from the base,
+    and Euclidean and DiagPos, which never refuse.
+
+    The margin ``tol`` is a distance, so the log refuses iff the angular
+    gap ``offset * CUT_TOL``, times ``sqrt(k)`` (1 on the sphere), is below
+    ``CUT_TOL``; the gaps equal to it are left to rounding."""
     rng = rng_of(seed)
-    p = random_rotation(rng, m)
-    q = p @ rotation_near_pi(rng, m, offset * CUT_TOL)
-    try:
-        so._log(p, q, CUT_TOL)
-        refused = False
-    except CutLocusError:
-        refused = True
-    assert refused == so._in_cut_locus(p, q, CUT_TOL)
+    scale = math.sqrt(k)
+    if kind == "so":
+        manifold = SpecialOrthogonal(m, k)
+        p = random_rotation(rng, m)
+        q = p @ rotation_near_pi(rng, m, offset * CUT_TOL)
+    elif kind == "sphere":
+        manifold, scale = Sphere(2), 1.0
+        p, stack = sphere_stack(rng, 2, 1, [(0, offset * CUT_TOL)])
+        q = stack[0]
+    elif kind == "cover":
+        manifold, p, stack = cover_stack(rng, 1, [(0, offset * CUT_TOL)], k)
+        q = stack[0]
+    else:
+        flat = rng.standard_normal((2, m)) * 10.0
+        for manifold, (p, q) in ((Euclidean(m), flat), (DiagPos(m), np.exp(flat))):
+            assert not log_refuses(manifold, p, q, CUT_TOL)
+            assert not manifold._in_cut_locus(p, q, CUT_TOL)
+        return
+    refused = log_refuses(manifold, p, q, CUT_TOL)
+    assert refused == manifold._in_cut_locus(p, q, CUT_TOL)
+    if not math.isclose(offset * scale, 1.0):
+        assert refused == (offset * scale < 1.0)
 
 
 def check_mean_parity(manifold, p, stack, tol):

@@ -12,6 +12,7 @@ from conftest import (
     sample_ball,
     sphere_grid_argmin,
 )
+from riemmean import frechet
 from riemmean.errors import (
     CutLocusError,
     InvalidInputError,
@@ -252,15 +253,55 @@ def test_frechet_mean_objective_is_the_per_point_objective(manifold):
     assert res.objective == objective(Q, res.minimizer)
 
 
-def test_karcher_descent_monotone_objective():
+def accepted_objectives(monkeypatch, Q, p0, step):
+    """Run `karcher_descent` and return it with the objectives of its
+    accepted states, observed from outside.  Each step starts its `_exp`
+    from the current accepted state, so a state is accepted iff the next
+    `_exp` starts from its coordinates; the last state formed is the final
+    one.  Also returns the number of states formed."""
+    events = []
+    descent_state = frechet._descent_state
+    exp = Q.manifold._exp
+
+    def record_state(m, Q, coords, cut_tol):
+        out = descent_state(m, Q, coords, cut_tol)
+        events.append(("state", coords, out[1]))
+        return out
+
+    def record_exp(p, v):
+        events.append(("exp", p, None))
+        return exp(p, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(frechet, "_descent_state", record_state)
+        patch.setattr(Q.manifold, "_exp", record_exp)
+        res = karcher_descent(Q, p0, step=step, certify=False)
+    assert events[-1][0] == "state"
+    trace, next_start = [], None
+    for kind, coords, f in reversed(events):
+        if kind == "exp":
+            next_start = coords
+        elif next_start is None or next_start is coords:
+            trace.append(f)
+    trace.reverse()
+    return res, trace, sum(kind == "state" for kind, _, _ in events)
+
+
+def test_karcher_descent_monotone_objective(monkeypatch):
+    """The objective is nonincreasing across accepted steps, up to the
+    descent's 1e-14 relative slack; the long steps (``step=2.5``) of the
+    second configuration make the descent backtrack."""
     sph = Sphere(2)
-    rng = rng_for(64)
-    pts = tuple(sph.random_point(rng) for _ in range(5))
-    Q = Configuration(sph, pts)
-    trace: list[float] = []
-    karcher_descent(Q, pts[0], trace=trace)
-    diffs = np.diff(trace)
-    assert np.all(diffs <= 1e-14 * np.maximum(1.0, np.abs(trace[:-1])))
+    for seed, step, rejects in ((64, 1.0, False), (65, 2.5, True)):
+        rng = rng_for(seed)
+        pts = tuple(sph.random_point(rng) for _ in range(5))
+        Q = Configuration(sph, pts)
+        res, trace, states = accepted_objectives(monkeypatch, Q, pts[0], step)
+        assert len(trace) == res.iterations + 1
+        assert trace[-1] == res.objective
+        assert (states > len(trace)) == rejects
+        diffs = np.diff(trace)
+        assert np.all(diffs <= 1e-14 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
 # -- frechet_mean ----------------------------------------------------------------
@@ -752,3 +793,7 @@ def test_frechet_mean_is_a_barycenter(seed, name, size, spread):
         reject()
     assert res.barycenter_residual < BARYCENTER_TOL
     assert barycenter_check(Q, res.minimizer)[0] < BARYCENTER_TOL
+    # the chosen descent's final state is the check's own log pass
+    assert (res.barycenter_residual, res.classification) == barycenter_check(
+        Q, res.minimizer
+    )

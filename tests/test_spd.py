@@ -128,6 +128,34 @@ def test_act_is_isometry_of_cover():
             assert abs(cover.dist(pa, pb) - cover.dist(a, b)) < 1e-10
 
 
+def gm_tables_by_pairwise_products(m: int):
+    """G(m)'s compose and inverse tables as first built: one float matrix
+    product per pair, each looked up by its rounded integer entries."""
+    matrices = [h.matrix for h in group_enumerate(m)]
+
+    def key(M):
+        return tuple(int(round(x)) for x in M.ravel())
+
+    keys = {key(M): i for i, M in enumerate(matrices)}
+    n = len(matrices)
+    compose = np.empty((n, n), dtype=int)
+    for i in range(n):
+        for j in range(n):
+            compose[i, j] = keys[key(matrices[i] @ matrices[j])]
+    inverse = np.array([keys[key(M.T)] for M in matrices], dtype=int)
+    return compose, inverse
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_gm_action_tables_match_pairwise_products(m):
+    compose, inverse = gm_tables_by_pairwise_products(m)
+    action = gm_action(m, 1.0)
+    assert action.compose_table.dtype == compose.dtype
+    assert np.array_equal(action.compose_table, compose)
+    assert action.inverse_table.dtype == inverse.dtype
+    assert np.array_equal(action.inverse_table, inverse)
+
+
 # -- canonical eigendecomposition ------------------------------------------------------
 
 
