@@ -9,6 +9,11 @@ equivalent to taking Frechet means downstairs: the minimizer set is a full
 G-orbit projecting onto the downstairs mean set.  Inside balls of radius
 below the quotient injectivity radius ``min(r_inj(M~), beta/2)`` the
 covering is even and configurations lift canonically into each sheet.
+
+An action is given by one orbit map (`FiniteAction`): the whole orbit of a
+cover point as one stack, identity row first.  Orbit scans, quotient
+distances, lifts and single-element moves all read that map, so each
+action writes its orbit kernel once.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ from .manifolds import Manifold, Point, Sphere, _frozen
 
 BETA_SAMPLES = 100_000
 FIBER_TOL = 1e-9
+# efm_solve's bound on outer iterations and its Karcher gradient tolerance
+MAX_OUTER = 500
+INNER_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -107,8 +115,12 @@ class EfmResult:
 class FiniteAction:
     """A finite group acting isometrically and freely on a cover manifold.
 
-    ``apply_fn`` maps ``(element_index, Point) -> Point``; ``compose_table``
-    and ``inverse_table`` encode the group law on element indices, with the
+    The action is one map: ``images(coords)`` returns the whole orbit of a
+    cover point's coordinates as an ``(order,) + cover.shape`` array, one
+    row per element in element order, with the identity's row (the
+    coordinates themselves) first.  `orbit_stack`, `orbit` and `apply` all
+    read their values off that map.  ``compose_table`` and
+    ``inverse_table`` encode the group law on element indices, with the
     identity at index 0.  ``displacement_floor`` may supply, per element, an
     exact value of ``inf_p dist(p, h . p)``; when the infimum of the
     variable part is 0 (as for the built-in actions) this makes the group's
@@ -119,7 +131,7 @@ class FiniteAction:
         self,
         cover: Manifold,
         labels: Sequence[str],
-        apply_fn: Callable[[int, Point], Point],
+        images: Callable[[np.ndarray], np.ndarray],
         compose_table: np.ndarray,
         inverse_table: np.ndarray,
         displacement_floor: Sequence[float] | None = None,
@@ -128,7 +140,7 @@ class FiniteAction:
             raise InvalidInputError("a group action needs at least two elements")
         self.cover = cover
         self.elements = [GroupElement(i, lab) for i, lab in enumerate(labels)]
-        self._apply = apply_fn
+        self._images = images
         self.compose_table = np.asarray(compose_table, dtype=int)
         self.inverse_table = np.asarray(inverse_table, dtype=int)
         n = len(self.elements)
@@ -156,7 +168,7 @@ class FiniteAction:
 
     def apply(self, h: GroupElement, p: Point) -> Point:
         self.cover._own(p)
-        return self._apply(h.index, p)
+        return Point(p.manifold_id, _frozen(self._images(p.coords)[h.index]))
 
     def compose(self, h1: GroupElement, h2: GroupElement) -> GroupElement:
         return self.elements[self.compose_table[h1.index, h2.index]]
@@ -165,12 +177,15 @@ class FiniteAction:
         return self.elements[self.inverse_table[h.index]]
 
     def orbit(self, p: Point) -> list[Point]:
-        return [self.apply(h, p) for h in self.elements]
+        self.cover._own(p)
+        # rows of one frozen stack are themselves read-only
+        return [Point(p.manifold_id, row) for row in _frozen(self._images(p.coords))]
 
     def orbit_stack(self, p: Point) -> np.ndarray:
         """Coordinates of the orbit of ``p``, stacked in element order:
         shape ``(order,) + cover.shape``."""
-        return np.stack([q.coords for q in self.orbit(p)])
+        self.cover._own(p)
+        return self._images(p.coords)
 
     def orbit_dist(self, p: Point | QuotientPoint, target: Point) -> float:
         """``min_h dist(h . p, target)``: one batched distance call over the
@@ -249,8 +264,6 @@ def _scan_orbits(cover, orbits, coords):
 def efm_solve(
     action: FiniteAction,
     Q: Sequence[QuotientPoint],
-    max_outer: int = 500,
-    inner_tol: float = 1e-11,
     init: Point | None = None,
 ) -> EfmResult:
     """Minimize the orbit-distance objective by alternating alignment and a
@@ -268,8 +281,8 @@ def efm_solve(
     minimizer together with its full orbit; the orbit projects to a single
     quotient point, the downstairs mean.
 
-    ``inner_tol`` is the Karcher gradient tolerance; it must be finite and
-    positive.
+    The Karcher solves stop at gradient norm `INNER_TOL`, and the solve
+    gives up after `MAX_OUTER` outer iterations.
 
     Each orbit scan serves twice: it gives the objective at its minimizer
     and the alignment of the next solve.  The initial point keeps the scan
@@ -278,8 +291,6 @@ def efm_solve(
     Karcher solves.  Each sample's orbit stack is built once per action
     (`QuotientPoint.orbit_stack`) and the lifts are read-only views of it.
     """
-    if not (math.isfinite(inner_tol) and inner_tol > 0.0):
-        raise InvalidInputError(f"inner_tol must be finite and positive, got {inner_tol}")
     Q = list(Q)
     if not Q:
         raise InvalidInputError("need at least one quotient point")
@@ -304,14 +315,14 @@ def efm_solve(
         p, (idx, f) = init, scan(init.coords)
     alignment: list[int] | None = None
     inner_done = 0
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
         if idx == alignment and math.isfinite(f):
             break
         alignment = idx
         try:
             step = karcher_descent(
                 Configuration(cover, tuple(lift_points(alignment))), p,
-                tol=inner_tol, certify=False,
+                tol=INNER_TOL, certify=False,
             )
         except (CutLocusError, MaxIterExceededError) as exc:
             raise NoConvergenceError(f"inner Karcher solve failed: {exc}") from exc
@@ -319,7 +330,7 @@ def efm_solve(
         p = step.minimizer
         idx, f = scan(p.coords)
     else:
-        raise NoConvergenceError(f"no convergence in {max_outer} outer iterations")
+        raise NoConvergenceError(f"no convergence in {MAX_OUTER} outer iterations")
     return EfmResult(
         orbit=action.orbit(p),
         downstairs_mean=QuotientPoint(p),
@@ -367,7 +378,7 @@ def even_cover_lifts(
     cover._own(base_center)
     base_lifts: list[Point] = []
     for q in Q:
-        orbit = action.orbit_stack(q.representative)
+        orbit = q.orbit_stack(action)
         hits = np.flatnonzero(cover._dist_block(base_center.coords, orbit) < r)
         if not len(hits):
             raise InvalidInputError(
@@ -378,9 +389,11 @@ def even_cover_lifts(
                 "two fiber points inside one covering ball: radius and "
                 "displacement data are inconsistent"
             )
-        base_lifts.append(Point(cover.manifold_id, _frozen(orbit[hits[0]])))
+        base_lifts.append(Point(cover.manifold_id, orbit[hits[0]]))
+    # sheet h holds row h of each base lift's orbit, its image under h
+    orbits = [action.orbit(pt) for pt in base_lifts]
     return {
-        h: Configuration(cover, tuple(action.apply(h, pt) for pt in base_lifts))
+        h: Configuration(cover, tuple(orbit[h.index] for orbit in orbits))
         for h in action.elements
     }
 
@@ -389,15 +402,10 @@ def antipodal_action(sphere: Sphere) -> FiniteAction:
     """The two-element antipodal action on a sphere (quotient: real
     projective space).  Displacement is constantly pi."""
 
-    def apply_fn(index: int, p: Point) -> Point:
-        if index == 0:
-            return p
-        return Point(p.manifold_id, _frozen(-p.coords))
-
     return FiniteAction(
         cover=sphere,
         labels=["e", "antipode"],
-        apply_fn=apply_fn,
+        images=lambda c: np.stack([c, -c]),
         compose_table=np.array([[0, 1], [1, 0]]),
         inverse_table=np.array([0, 1]),
         displacement_floor=[0.0, math.pi],

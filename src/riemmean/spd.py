@@ -191,9 +191,10 @@ def spd_validate(S: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
 
 def top_stratum_gap(S: np.ndarray) -> float:
     """Minimum consecutive gap of the sorted spectrum; 0 on repeated
-    eigenvalues."""
-    S = spd_validate(S)
-    lam = np.sort(np.linalg.eigvalsh(S))[::-1]
+    eigenvalues.  Refuses what `spd_validate` refuses, from one eigensolve."""
+    lam = np.sort(np.linalg.eigvalsh(_symmetric(S)))[::-1]
+    if lam[-1] <= 0.0:
+        raise InvalidInputError("matrix is not positive definite")
     return float(np.min(lam[:-1] - lam[1:]))
 
 
@@ -264,50 +265,36 @@ def _gm_action(m: int, k: float) -> FiniteAction:
     signed = np.stack(matrices).astype(np.int8)
     keys = {M.tobytes(): i for i, M in enumerate(signed)}
     n = len(elements)
-    products = np.einsum("aij,bjk->abik", signed, signed).reshape(n * n, m, m)
-    compose = np.array([keys[P.tobytes()] for P in products], dtype=int).reshape(n, n)
+    # one row of products at a time bounds the work array at n matrices
+    compose = np.empty((n, n), dtype=int)
+    for a, M in enumerate(signed):
+        products = np.einsum("ij,bjk->bik", M, signed)
+        compose[a] = [keys[P.tobytes()] for P in products]
     inverse = np.array([keys[M.T.tobytes()] for M in signed], dtype=int)
     # the action is shared by every caller of gm_action
     compose.flags.writeable = False
     inverse.flags.writeable = False
+    cover = cover_manifold(m, k)
+    rotations_t = np.stack([M.T for M in matrices])
+    # the diagonal entry landing in slot i comes from slot sources[h, i]
+    sources = np.array([np.argsort(h.perm) for h in elements])
+
+    def images(coords: np.ndarray) -> np.ndarray:
+        # `act` for every element at once: an element only moves and negates
+        # entries, so each row equals applying that element alone, exactly
+        U, d = cover.split(coords)
+        rot = U @ rotations_t
+        return np.concatenate([rot.reshape(n, -1), d[sources]], axis=1)
+
     sqrt_k = math.sqrt(k)
-    return _SignedPermutationAction(
-        cover_manifold(m, k),
-        elements,
+    return FiniteAction(
+        cover,
+        [h.label for h in elements],
+        images,
         compose_table=compose,
         inverse_table=inverse,
         displacement_floor=[sqrt_k * rotation_norm(M) for M in matrices],
     )
-
-
-class _SignedPermutationAction(FiniteAction):
-    """`act` on eigendecomposition cover points.  An element only moves and
-    negates entries, so a whole orbit is one exact batched product, equal
-    entry for entry to applying the elements one at a time."""
-
-    def __init__(self, cover: Product, elements: list[SignedPermutation], **tables):
-        self._rotations_t = np.stack([h.matrix.T for h in elements])
-        # the diagonal entry landing in slot i comes from slot sources[h, i]
-        self._sources = np.array([np.argsort(h.perm) for h in elements])
-        super().__init__(
-            cover, [h.label for h in elements], self._apply_one, **tables
-        )
-
-    def _images(self, coords: np.ndarray, rows) -> np.ndarray:
-        U, d = self.cover.split(coords)
-        rot = U @ self._rotations_t[rows]
-        return np.concatenate([rot.reshape(len(rot), -1), d[self._sources[rows]]], axis=1)
-
-    def _apply_one(self, index: int, p: Point) -> Point:
-        return Point(p.manifold_id, _frozen(self._images(p.coords, [index])[0]))
-
-    def orbit_stack(self, p: Point) -> np.ndarray:
-        self.cover._own(p)
-        return self._images(p.coords, slice(None))
-
-    def orbit(self, p: Point) -> list[Point]:
-        # rows of one frozen product are themselves read-only
-        return [Point(p.manifold_id, row) for row in _frozen(self.orbit_stack(p))]
 
 
 def d_psr(

@@ -579,6 +579,25 @@ def test_top_stratum_gap_values():
     assert top_stratum_gap(np.eye(2)) == 0.0
 
 
+def test_top_stratum_gap_refuses_as_spd_validate_from_one_eigensolve(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(1)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert top_stratum_gap(np.diag([4.0, 2.0, 1.0])) == 1.0
+    assert len(calls) == 1
+    for bad in (np.diag([1.0, 0.0]), np.diag([1.0, -2.0]), [[2.0, 1.0], [0.0, 2.0]], np.eye(3)[:2]):
+        with pytest.raises(InvalidInputError) as gap_err:
+            top_stratum_gap(bad)
+        with pytest.raises(InvalidInputError) as validate_err:
+            spd_validate(bad)
+        assert str(gap_err.value) == str(validate_err.value)
+
+
 def test_top_stratum_gap_generic_positive():
     rng = rng_for(100)
     gaps = [top_stratum_gap(sample_spd(rng, 3, 1.0)) for _ in range(2000)]
