@@ -169,8 +169,17 @@ def _cmd_efm(args) -> int:
     return 0
 
 
+def _check_spd_size(m: int, name: str) -> None:
+    """G(m) is enumerated for 2 <= m <= 5 only (`group_enumerate`)."""
+    if m < 2 or m > 5:
+        raise InvalidInputError(f"{name} must be between 2 and 5")
+
+
 def _cmd_psr_mean(args) -> int:
     with _usage_scope():
+        _check_spd_size(args.m, "--m")
+        if args.restarts < 0:
+            raise InvalidInputError("--restarts must be >= 0")
         samples = read_spd_file(args.samples, args.m)
     res = psr_mean(samples, k=args.k, gap_tol=args.gap_tol, restarts=args.restarts)
     rep = res.representative
@@ -201,6 +210,8 @@ def _cmd_psr_dist(args) -> int:
     with _usage_scope():
         a = parse_spd(args.a)
         b = parse_spd(args.b)
+        for name, S in (("--a", a), ("--b", b)):
+            _check_spd_size(len(S), f"the size of {name}")
     _emit([("d_sr", _fmt(d_sr(a, b, args.k, args.gap_tol)))], args.csv)
     return 0
 
@@ -224,8 +235,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_constants(args) -> int:
     with _usage_scope():
-        if args.m < 2 or args.m > 5:
-            raise InvalidInputError("--m must be between 2 and 5")
+        _check_spd_size(args.m, "--m")
     c = psr_constants(args.m, args.k)
     _emit(
         [

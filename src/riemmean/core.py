@@ -56,6 +56,15 @@ class MetricConstants:
         return cls(r_inj, delta_sup, rcx_from_constants(r_inj, delta_sup))
 
 
+def check_symmetric(S: np.ndarray, sym_tol: float) -> None:
+    """Refuse ``max|S - S^T| > sym_tol * max(1, max|S|)``: a computed
+    ``U diag(lam) U^T`` is symmetric only to a few ulps of its largest entry."""
+    asym = np.abs(S - S.T).max()
+    # the same rule, split so that an exactly symmetric S skips max|S|
+    if asym > sym_tol and asym > sym_tol * np.abs(S).max():
+        raise InvalidInputError("matrix is not symmetric within tolerance")
+
+
 def sym_eig(S: np.ndarray, sym_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a small symmetric matrix.
 
@@ -67,8 +76,7 @@ def sym_eig(S: np.ndarray, sym_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarr
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {S.shape}")
-    if np.max(np.abs(S - S.T)) > sym_tol:
-        raise InvalidInputError("matrix is not symmetric within tolerance")
+    check_symmetric(S, sym_tol)
     lam, U = np.linalg.eigh(0.5 * (S + S.T))
     lam = lam[::-1].copy()
     U = U[:, ::-1].copy()

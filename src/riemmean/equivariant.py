@@ -295,6 +295,8 @@ def efm_solve(
     if not Q:
         raise InvalidInputError("need at least one quotient point")
     cover = action.cover
+    if init is not None:
+        cover._own(init)
     orbits = np.stack([q.orbit_stack(action) for q in Q])
     orbits.flags.writeable = False
 
@@ -321,8 +323,7 @@ def efm_solve(
         alignment = idx
         try:
             step = karcher_descent(
-                Configuration(cover, tuple(lift_points(alignment))), p,
-                tol=INNER_TOL, certify=False,
+                Configuration(cover, tuple(lift_points(alignment))), p, tol=INNER_TOL
             )
         except (CutLocusError, MaxIterExceededError) as exc:
             raise NoConvergenceError(f"inner Karcher solve failed: {exc}") from exc

@@ -40,8 +40,11 @@ from .manifolds import (
 )
 
 DEFAULT_TOL = 1e-10
-DEFAULT_STEP = 1.0
-DEFAULT_MAX_ITER = 10000
+# numerical choices, not paper quantities: the descent's first trial step and
+# iteration cap, and the certificate's round-off slack below r_cx
+STEP = 1.0
+MAX_ITER = 10000
+AFSARI_MARGIN = 1e-9
 MULTISTART_EXTRA = 20
 
 SHORT = "short"
@@ -86,11 +89,11 @@ class MeanResult:
     and gradient norm, ``barycenter_residual`` equals ``grad_norm`` (the
     balance residual is the gradient norm at the minimizer), and
     ``classification`` is `SHORT` because the last log pass succeeded, so
-    every data point lies inside the cut-locus margin.  That pass is the
-    one a `barycenter_check` of the minimizer at the descent's ``cut_tol``
-    makes, so the two agree bit for bit.  `frechet_mean` reports its chosen
-    run's fields, except that ``objective`` is ``objective(Q, minimizer)``,
-    the per-point value it ranks the runs by.
+    every data point lies inside ``CUT_TOL``, as `barycenter_check` of the
+    minimizer finds bit for bit; ``afsari_certified`` is False.
+    `frechet_mean` reports its chosen run's fields, except ``objective``,
+    the per-point ``objective(Q, minimizer)`` it ranks the runs by, and
+    ``afsari_certified``, which is `afsari_certified` of the data.
     """
 
     minimizer: Point
@@ -107,7 +110,7 @@ class MeanResult:
 class Certificate:
     """Outcome of `afsari_certificate`.
 
-    ``certified`` is True iff a ball of radius below ``r_cx - margin``
+    ``certified`` is True iff a ball of radius below ``r_cx - AFSARI_MARGIN``
     contains the configuration; ``center`` and ``radius`` are then that
     witness ball.  When False, they are the smallest ball the search
     reached: the best data point and its farthest distance if the diameter
@@ -127,19 +130,19 @@ def objective(Q: Configuration, p: Point) -> float:
     return float(np.mean([m._dist(p.coords, q.coords) ** 2 for q in Q.points]))
 
 
-def gradient_field(Q: Configuration, p: Point, cut_tol: float = CUT_TOL) -> Tangent:
+def gradient_field(Q: Configuration, p: Point) -> Tangent:
     """``Y_Q(p)``, the mean of the logs of the data at ``p``.
 
-    Raises `CutLocusError` when some data point is within ``cut_tol`` of the
+    Raises `CutLocusError` when some data point is within ``CUT_TOL`` of the
     cut locus of ``p`` (the objective is not smooth there).
     """
     m = Q.manifold
     m._own(p)
-    mean, _ = m._log_mean(p.coords, Q.coord_stack, cut_tol)
+    mean, _ = m._log_mean(p.coords, Q.coord_stack, CUT_TOL)
     return Tangent(p, _frozen(mean))
 
 
-def _descent_state(m: Manifold, Q: Configuration, coords: np.ndarray, cut_tol: float):
+def _descent_state(m: Manifold, Q: Configuration, coords: np.ndarray):
     """The descent state at ``coords``: step direction, objective and
     gradient norm.
 
@@ -147,38 +150,23 @@ def _descent_state(m: Manifold, Q: Configuration, coords: np.ndarray, cut_tol: f
     loci ``dist == |log|``, so the objective is the mean squared log norm.
     One `_log_mean` pass over the data stack forms both without the
     individual logs; the gradient norm is the norm of the direction.
-    Raises `CutLocusError` when some data point is within ``cut_tol`` of
+    Raises `CutLocusError` when some data point is within ``CUT_TOL`` of
     the cut locus of ``coords``.
     """
-    direction, f = m._log_mean(coords, Q.coord_stack, cut_tol)
+    direction, f = m._log_mean(coords, Q.coord_stack, CUT_TOL)
     g = math.sqrt(max(m._inner(coords, direction, direction), 0.0))
     return direction, f, g
 
 
-def _check_descent_settings(tol, step, max_iter, cut_tol) -> None:
-    """Refuse settings no descent can honour, before any work: a
-    non-finite or non-positive ``tol`` or ``step``, a negative (or nan)
-    ``max_iter``, a non-finite or negative ``cut_tol``."""
-    for name, value in (("tol", tol), ("step", step)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
-    if not max_iter >= 0:
-        raise InvalidInputError(f"max_iter must be nonnegative, got {max_iter}")
-    if not (math.isfinite(cut_tol) and cut_tol >= 0.0):
-        raise InvalidInputError(f"cut_tol must be finite and nonnegative, got {cut_tol}")
+def _check_descent_settings(tol) -> None:
+    """Refuse a non-finite or non-positive ``tol`` before any work."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidInputError(f"tol must be finite and positive, got {tol}")
 
 
-def karcher_descent(
-    Q: Configuration,
-    p0: Point,
-    step: float = DEFAULT_STEP,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    cut_tol: float = CUT_TOL,
-    certify: bool = True,
-) -> MeanResult:
-    """Gradient descent ``p <- exp(p, step * Y_Q(p))`` with backtracking
-    halving whenever the objective fails to decrease.
+def karcher_descent(Q: Configuration, p0: Point, tol: float = DEFAULT_TOL) -> MeanResult:
+    """Gradient descent ``p <- exp(p, s * Y_Q(p))`` from ``s = STEP``,
+    halving ``s`` whenever the objective fails to decrease.
 
     Returns once the gradient norm drops below ``tol``.  The objective is
     nonincreasing across accepted steps up to a 1e-14 relative slack (near
@@ -186,39 +174,39 @@ def karcher_descent(
     than one ulp; the slack lets the iteration keep contracting as the
     classical fixed-point map instead of stalling).  Raises `CutLocusError`
     when an iterate runs into a cut locus of some data point and
-    backtracking cannot recover, and `MaxIterExceededError` when the
-    iteration budget runs out.
+    backtracking cannot recover, and `MaxIterExceededError` after
+    ``MAX_ITER`` iterations.
 
     The result is read off the final descent state, with no further pass
     over the data: ``objective`` is its objective, ``grad_norm`` and
     ``barycenter_residual`` its gradient norm, and ``classification`` is
     `SHORT` (that state's log pass found every data point inside the
-    ``cut_tol`` margin).  Only ``certify=True`` adds work, one
-    `afsari_certificate`.
+    ``CUT_TOL`` margin).  ``afsari_certified`` is False, since one run
+    certifies nothing; `frechet_mean` sets it from the data.
 
-    Bad settings (see `_check_descent_settings`) raise `InvalidInputError`.
+    A bad ``tol`` (see `_check_descent_settings`) raises `InvalidInputError`.
     """
-    _check_descent_settings(tol, step, max_iter, cut_tol)
+    _check_descent_settings(tol)
     m = Q.manifold
     m._own(p0)
     coords = p0.coords
-    direction, f, g = _descent_state(m, Q, coords, cut_tol)
+    direction, f, g = _descent_state(m, Q, coords)
     iterations = 0
     while True:
         if g < tol:
             break
-        if iterations >= max_iter:
+        if iterations >= MAX_ITER:
             raise MaxIterExceededError(
-                f"no convergence in {max_iter} iterations (grad norm {g:.3e})"
+                f"no convergence in {MAX_ITER} iterations (grad norm {g:.3e})"
             )
         slack = 1e-14 * max(1.0, abs(f))
-        s = step
+        s = STEP
         accepted = False
         cut_blocked = False
         while s > 1e-17:
             cand = m._exp(coords, s * direction)
             try:
-                cand_dir, cand_f, cand_g = _descent_state(m, Q, cand, cut_tol)
+                cand_dir, cand_f, cand_g = _descent_state(m, Q, cand)
             except CutLocusError:
                 cut_blocked = True
                 s *= 0.5
@@ -235,14 +223,13 @@ def karcher_descent(
             raise MaxIterExceededError(
                 f"backtracking stalled at grad norm {g:.3e}"
             )
-    certified = afsari_certificate(Q).certified if certify else False
     return MeanResult(
         minimizer=Point(m.manifold_id, _frozen(coords)),
         objective=f,
         grad_norm=g,
         iterations=iterations,
         multistart_agreement=True,
-        afsari_certified=certified,
+        afsari_certified=False,
         barycenter_residual=g,
         classification=SHORT,
     )
@@ -252,13 +239,7 @@ def _lex_key(p: Point) -> tuple:
     return tuple(p.coords.ravel())
 
 
-def frechet_mean(
-    Q: Configuration,
-    tol: float = DEFAULT_TOL,
-    step: float = DEFAULT_STEP,
-    max_iter: int = DEFAULT_MAX_ITER,
-    cut_tol: float = CUT_TOL,
-) -> MeanResult:
+def frechet_mean(Q: Configuration, tol: float = DEFAULT_TOL) -> MeanResult:
     """Multistart Karcher descent.
 
     Seeds are the N data points plus, on compact manifolds, 20 deterministic
@@ -271,11 +252,11 @@ def frechet_mean(
     ranking value.  ``grad_norm``, ``barycenter_residual`` (equal to it),
     ``classification`` (`SHORT`) and ``iterations`` are the chosen run's,
     read off its final descent state, whose log pass is the one
-    ``barycenter_check(Q, minimizer, cut_tol)`` makes.  ``afsari_certified``
-    comes from one `afsari_certified` of the data.  Bad settings raise
+    ``barycenter_check(Q, minimizer)`` makes.  ``afsari_certified`` comes
+    from one `afsari_certified` of the data.  A bad ``tol`` raises
     `InvalidInputError` before any seed runs, as in `karcher_descent`.
     """
-    _check_descent_settings(tol, step, max_iter, cut_tol)
+    _check_descent_settings(tol)
     m = Q.manifold
     seeds: list[Point] = list(Q.points)
     if m.is_compact:
@@ -283,10 +264,7 @@ def frechet_mean(
     runs: list[MeanResult] = []
     for seed in seeds:
         try:
-            run = karcher_descent(
-                Q, seed, step=step, tol=tol, max_iter=max_iter,
-                cut_tol=cut_tol, certify=False,
-            )
+            run = karcher_descent(Q, seed, tol=tol)
         except (CutLocusError, MaxIterExceededError):
             continue
         # rank by the per-point objective, not the descent's block sum: the
@@ -308,13 +286,11 @@ def frechet_mean(
     )
 
 
-def barycenter_check(
-    Q: Configuration, p: Point, tol: float = CUT_TOL
-) -> tuple[float, str]:
+def barycenter_check(Q: Configuration, p: Point) -> tuple[float, str]:
     """Residual ``|(1/N) sum_i log_p(q_i)|`` and a classification.
 
     ``short`` means every data point is strictly inside the cut-locus margin
-    ``tol``.  Data within ``tol`` of a cut locus (but with the log still
+    ``CUT_TOL``.  Data within ``CUT_TOL`` of a cut locus (but with the log still
     formable) yield ``boundary_unclassified``: telling singular from
     ordinary cut points numerically is ill-posed, so such configurations are
     reported for manual inspection rather than guessed at.  If some log
@@ -322,14 +298,14 @@ def barycenter_check(
     is raised -- at a genuine local minimum this cannot happen.
 
     The mean log is one `_log_mean` pass over the data stack at margin
-    ``tol``; if that refuses, some point is within ``tol`` of a cut locus
-    (a log refuses at a margin iff the point is that close), and a second
-    pass at margin 1e-15 forms the mean or raises.
+    ``CUT_TOL``; if that refuses, some point is within ``CUT_TOL`` of a cut
+    locus (a log refuses at a margin iff the point is that close), and a
+    second pass at margin 1e-15 forms the mean or raises.
     """
     m = Q.manifold
     m._own(p)
     try:
-        mean, _ = m._log_mean(p.coords, Q.coord_stack, tol)
+        mean, _ = m._log_mean(p.coords, Q.coord_stack, CUT_TOL)
         classification = SHORT
     except CutLocusError:
         mean, _ = m._log_mean(p.coords, Q.coord_stack, 1e-15)
@@ -370,23 +346,23 @@ def _no_open_hemisphere(m: Manifold, stack: np.ndarray) -> bool:
     )
 
 
-def afsari_certified(Q: Configuration, margin: float = 1e-9) -> bool:
-    """``afsari_certificate(Q, margin).certified``, answered without the
-    certificate when no open hemisphere of S^2 holds the data.
+def afsari_certified(Q: Configuration) -> bool:
+    """``afsari_certificate(Q).certified`` (Afsari's concentration flag),
+    answered without the certificate when no open hemisphere of S^2 holds Q.
 
     On ``Sphere(2)``, ``r_cx = pi / 2``.  If no open hemisphere holds Q,
     every centre has a data point at distance >= pi / 2, so no ball of
-    radius below ``r_cx - margin`` holds Q and the flag is False.  Callers
-    that need only the flag use this; ``riemmean certify`` prints the
-    certificate's centre and radius, so it keeps the full search.
+    radius below ``r_cx - AFSARI_MARGIN`` holds Q and the flag is False.
+    Callers that need only the flag use this; ``riemmean certify`` prints
+    the certificate's centre and radius, so it keeps the full search.
     """
     if _no_open_hemisphere(Q.manifold, Q.coord_stack):
         return False
-    return afsari_certificate(Q, margin).certified
+    return afsari_certificate(Q).certified
 
 
-def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
-    """Try to exhibit a ball of radius < r_cx containing the configuration.
+def afsari_certificate(Q: Configuration) -> Certificate:
+    """Try to exhibit a ball of radius below ``r_cx - AFSARI_MARGIN`` holding Q.
 
     Candidate centers are the data points themselves plus a subgradient
     one-center refinement (step toward the current farthest point with
@@ -399,14 +375,15 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
 
     * certified, by a data point or a refinement iterate: ``center`` and
       ``radius`` are the witness ball;
-    * ruled out by the diameter (``diam / 2 >= r_cx - margin / 2``), before
-      any refinement step: ``center`` is the best data point and
+    * ruled out by the diameter (``diam / 2 >= r_cx - AFSARI_MARGIN / 2``),
+      before any refinement step: ``center`` is the best data point and
       ``radius`` its farthest distance;
     * otherwise the refinement runs out (200 steps, or a cut locus) and
       ``center`` / ``radius`` are the smallest ball it reached.
     """
     m = Q.manifold
     r_cx = m.constants.r_cx
+    bound = r_cx - AFSARI_MARGIN
 
     def distances(coords: np.ndarray) -> np.ndarray:
         return m._dist_block(coords, Q.coord_stack)
@@ -416,13 +393,13 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
     best_radius = min(radii)
     start = radii.index(best_radius)
     best = Q.points[start]
-    if best_radius < r_cx - margin:
+    if best_radius < bound:
         return Certificate(certified=True, center=best, radius=best_radius)
     # Any ball containing Q has radius >= diam(Q) / 2 (triangle inequality),
-    # and the loop below certifies only radii below r_cx - margin.  So from
-    # here it could certify only if its computed distances were off by more
-    # than margin / 2; the half margin is round-off slack.
-    if max(radii) / 2.0 >= r_cx - margin / 2.0:
+    # and the loop below certifies only radii below r_cx - AFSARI_MARGIN.  So
+    # from here it could certify only if its computed distances were off by
+    # more than AFSARI_MARGIN / 2; the half margin is round-off slack.
+    if max(radii) / 2.0 >= r_cx - AFSARI_MARGIN / 2.0:
         return Certificate(certified=False, center=best, radius=best_radius)
     coords = best.coords
     for it in range(1, 201):
@@ -433,7 +410,7 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
         if radius < best_radius:
             best_radius = radius
             best = Point(m.manifold_id, _frozen(coords))
-            if best_radius < r_cx - margin:
+            if best_radius < bound:
                 break
         if radius == 0.0:
             break
@@ -442,9 +419,7 @@ def afsari_certificate(Q: Configuration, margin: float = 1e-9) -> Certificate:
         except CutLocusError:
             break
         coords = m._exp(coords, v / (it + 1.0))
-    return Certificate(
-        certified=best_radius < r_cx - margin, center=best, radius=best_radius
-    )
+    return Certificate(certified=best_radius < bound, center=best, radius=best_radius)
 
 
 def forward_directional_derivative(

@@ -48,7 +48,7 @@ from .equivariant import (
     radius_relations,
 )
 from .errors import InvalidInputError, RiemmeanError
-from .frechet import Configuration, afsari_certificate, barycenter_check, frechet_mean
+from .frechet import Configuration, afsari_certified, barycenter_check, frechet_mean
 from .manifolds import Manifold, Point, Sphere, Tangent
 from .spd import (
     EigenPair,
@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1 or self.sample_size < 1:
             raise InvalidInputError("trials and sample_size must be >= 1")
+        if self.restarts < 0:
+            raise InvalidInputError("restarts must be >= 0")
         if self.experiment == "sphere_genericity" and self.sampler not in SPHERE_SAMPLERS:
             raise InvalidInputError(f"unknown sampler {self.sampler!r}")
         for name in sorted(f.name for f in fields(self) if f.type == "float"):
@@ -462,7 +464,7 @@ def _solve_psr(cfg: ExperimentConfig, cover, samples, rng: np.random.Generator):
         )
     lifted = Configuration(cover, tuple(l.to_point(cover) for l in res.aligned_lifts))
     residual, _ = barycenter_check(lifted, res.representative.to_point(cover))
-    return res, residual, afsari_certificate(lifted).certified
+    return res, residual, afsari_certified(lifted)
 
 
 def _psr_genericity(cfg: ExperimentConfig) -> _Study:

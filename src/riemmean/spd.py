@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import expm_sym, rotation_norm, sym_eig
+from .core import check_symmetric, expm_sym, rotation_norm, sym_eig
 from .equivariant import FiniteAction, QuotientPoint, efm_solve
 from .errors import DegenerateSpectrumError, InvalidInputError
 from .manifolds import DiagPos, Point, Product, SpecialOrthogonal, _frozen
@@ -170,14 +170,13 @@ def act(h: SignedPermutation, pair: EigenPair) -> EigenPair:
 
 def _symmetric(S: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
     """Check that ``S`` is a finite square matrix, symmetric within
-    ``sym_tol``; returns the array."""
+    ``sym_tol`` as `check_symmetric` measures it; returns the array."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got {S.shape}")
     if not np.isfinite(S).all():
         raise InvalidInputError("matrix has a non-finite entry")
-    if np.max(np.abs(S - S.T)) > sym_tol:
-        raise InvalidInputError("matrix is not symmetric within tolerance")
+    check_symmetric(S, sym_tol)
     return S
 
 
@@ -355,8 +354,10 @@ def psr_mean(
     log-Euclidean averaging on the diagonal factor, iterative on SO(m)).
     ``unique_up_to_G`` is True iff ``restarts`` extra solves from random
     group-translated sample lifts all land on the same group orbit within
-    1e-7.
+    1e-7 (vacuously for ``restarts = 0``; a negative count is refused).
     """
+    if restarts < 0:
+        raise InvalidInputError(f"restarts must be >= 0, got {restarts}")
     if not samples:
         raise InvalidInputError("need at least one sample")
     # eig_canonical validates each sample; a narrow spectrum is reported

@@ -224,6 +224,32 @@ def test_experiment_with_non_finite_setting_exits_2(capsys, tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("constants", "--m", "1"), "--m must be between 2 and 5"),
+        (("psr-mean", "--m", "1", "--samples", "{samples}"), "--m must be between 2 and 5"),
+        (("psr-mean", "--m", "6", "--samples", "{samples}"), "--m must be between 2 and 5"),
+        (("psr-dist", "--a", "2", "--b", "3"), "the size of --a must be between 2 and 5"),
+        (("psr-dist", "--a", "4,0,0,1", "--b", "3"), "the size of --b must be between 2 and 5"),
+        (
+            ("psr-mean", "--m", "2", "--samples", "{samples}", "--restarts", "-3"),
+            "--restarts must be >= 0",
+        ),
+    ],
+)
+def test_spd_size_and_restarts_are_usage_errors(capsys, tmp_path, argv, message):
+    """An SPD size outside 2..5 and a negative ``--restarts`` exit 2 before
+    any solve, whichever command they reach."""
+    samples = tmp_path / "spd.txt"
+    samples.write_text("2,0,0,1\n3,0,0,1\n")
+    code, out, err = run_cli(capsys, *(a.format(samples=samples) for a in argv))
+    assert code == 2
+    assert "usage error" in err
+    assert message in err
+    assert out == ""
+
+
 def test_domain_error_exit_1(capsys):
     # equal eigenvalues: the scaling-rotation fiber is not a finite orbit
     code, _, err = run_cli(capsys, "psr-dist", "--a", "1,0,0,1", "--b", "2,0,0,1")

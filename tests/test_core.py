@@ -9,6 +9,7 @@ from conftest import jacobi_eig, rng_for
 from riemmean.core import (
     MetricConstants,
     angle_frame,
+    check_symmetric,
     minimal_rotation_logs,
     rcx_from_constants,
     rotation_angles,
@@ -74,6 +75,27 @@ def test_sym_eig_identity():
 def test_sym_eig_rejects_nonsymmetric():
     with pytest.raises(InvalidInputError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_symmetry_rule_is_relative_above_unit_entries():
+    """`check_symmetric` scales ``sym_tol`` by ``max(1, max|S|)``: rounding
+    asymmetry of a few ulps of a large entry passes, a relative asymmetry
+    of 1e-9 does not, and below unit entries the bound stays absolute."""
+    big = np.diag([3.0e4, 2.0e4, 1.0e4])
+    big[0, 1] = big[1, 0] = 1.5e4
+    rounding = big.copy()
+    rounding[0, 1] += 2 * np.spacing(1.5e4)
+    assert np.max(np.abs(rounding - rounding.T)) > 1e-12
+    check_symmetric(rounding, 1e-12)
+    sym_eig(rounding)
+    skewed = big.copy()
+    skewed[0, 1] += 1e-9 * 3.0e4
+    for refuse in (lambda S: check_symmetric(S, 1e-12), sym_eig):
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            refuse(skewed)
+    small = np.array([[1e-3, 0.0], [2e-12, 1e-3]])
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        check_symmetric(small, 1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -234,6 +234,20 @@ def test_efm_single_point_returns_fiber(rp2):
     assert fiber == got
 
 
+def test_efm_solve_refuses_an_init_off_the_cover(rp2, monkeypatch):
+    """An ``init`` from another manifold is a domain error at entry, before
+    any orbit scan, not a numpy shape error."""
+    sphere, action = rp2
+
+    def no_scan(*args):
+        raise AssertionError("an orbit was scanned")
+
+    monkeypatch.setattr(equivariant, "_scan_orbits", no_scan)
+    q = QuotientPoint(sphere.point([0.0, 0.0, 1.0]))
+    with pytest.raises(InvalidInputError, match="not 'sphere:2'"):
+        efm_solve(action, [q], init=Sphere(3).point([0.0, 0.0, 0.0, 1.0]))
+
+
 def test_efm_concentrated_orbit_distinct(rp2):
     sphere, action = rp2
     rng = rng_for(85)
@@ -357,9 +371,7 @@ def efm_solve_before_the_stop_rule(action, Q, tol=1e-10, max_outer=500, inner_to
     for outer in range(1, max_outer + 1):
         stable = stable + 1 if idx == prev_alignment else 1
         prev_alignment = idx
-        step = karcher_descent(
-            Configuration(cover, tuple(lift_points(idx))), p, tol=inner_tol, certify=False
-        )
+        step = karcher_descent(Configuration(cover, tuple(lift_points(idx))), p, tol=inner_tol)
         inner_done += step.iterations
         p = step.minimizer
         f_prev = f

@@ -16,6 +16,7 @@ from riemmean import frechet
 from riemmean.errors import (
     CutLocusError,
     InvalidInputError,
+    MaxIterExceededError,
     NoConvergenceError,
     UnsupportedManifoldError,
 )
@@ -162,15 +163,6 @@ BAD_DESCENT_SETTINGS = [
     {"tol": 0.0},
     {"tol": -1.0},
     {"tol": math.inf},
-    {"step": math.nan},
-    {"step": 0.0},
-    {"step": -1.0},
-    {"step": math.inf},
-    {"max_iter": -3},
-    {"max_iter": math.nan},
-    {"cut_tol": math.nan},
-    {"cut_tol": math.inf},
-    {"cut_tol": -1e-8},
 ]
 
 
@@ -179,8 +171,9 @@ BAD_DESCENT_SETTINGS = [
     "bad", BAD_DESCENT_SETTINGS, ids=lambda bad: "{}={}".format(*next(iter(bad.items())))
 )
 def test_descent_refuses_bad_settings_where_they_enter(solver, bad, monkeypatch):
-    """A setting no descent can honour is refused before any descent state
-    is formed, not turned into "no convergence" after 10000 iterations."""
+    """A ``tol`` no descent can honour is refused before any descent state
+    is formed, not turned into "no convergence" after ``MAX_ITER``
+    iterations."""
 
     def no_state(*args):
         raise AssertionError("a descent state was formed")
@@ -196,14 +189,21 @@ def test_descent_refuses_bad_settings_where_they_enter(solver, bad, monkeypatch)
             frechet_mean(Q, **bad)
 
 
-def test_descent_accepts_edge_settings():
-    """The edges of the accepted ranges still run: no iterations allowed
-    (``max_iter=0``) at a converged start, and no cut margin."""
+def test_iteration_cap_raises(monkeypatch):
+    """A descent that needs more than ``MAX_ITER`` iterations raises
+    `MaxIterExceededError`; when every multistart seed runs out,
+    `frechet_mean` raises `NoConvergenceError`."""
     sph = Sphere(2)
-    p = sph.point([0.0, 1.0, 0.0])
-    Q = Configuration(sph, (p, p))
-    assert karcher_descent(Q, p, max_iter=0, cut_tol=0.0).iterations == 0
-    assert frechet_mean(Q, max_iter=0).iterations == 0
+    rng = rng_for(66)
+    pts = tuple(sph.random_point(rng) for _ in range(5))
+    Q = Configuration(sph, pts)
+    assert karcher_descent(Q, pts[0]).iterations > 2
+    monkeypatch.setattr(frechet, "MAX_ITER", 2)
+    with pytest.raises(MaxIterExceededError, match="no convergence in 2 iterations"):
+        karcher_descent(Q, pts[0])
+    monkeypatch.setattr(frechet, "MAX_ITER", 0)
+    with pytest.raises(NoConvergenceError, match="all multistart seeds failed"):
+        frechet_mean(Q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,7 +229,7 @@ def test_karcher_result_matches_a_fresh_check_at_its_minimizer(
     radius = spread * manifold.constants.r_cx
     pts = tuple(sample_ball(manifold, center, radius, rng) for _ in range(size))
     Q = Configuration(manifold, pts)
-    res = karcher_descent(Q, pts[0], certify=False)
+    res = karcher_descent(Q, pts[0])
     f = objective(Q, res.minimizer)
     residual, classification = barycenter_check(Q, res.minimizer)
     # relative, with a floor for one-point data, where both are ~0
@@ -237,6 +237,8 @@ def test_karcher_result_matches_a_fresh_check_at_its_minimizer(
     assert abs(res.barycenter_residual - residual) <= 1e-12
     assert res.barycenter_residual == res.grad_norm
     assert res.classification == classification
+    # one run certifies nothing; frechet_mean sets the flag from the data
+    assert res.afsari_certified is False
 
 
 @pytest.mark.parametrize(
@@ -253,7 +255,7 @@ def test_frechet_mean_objective_is_the_per_point_objective(manifold):
     assert res.objective == objective(Q, res.minimizer)
 
 
-def accepted_objectives(monkeypatch, Q, p0, step):
+def accepted_objectives(monkeypatch, Q, p0):
     """Run `karcher_descent` and return it with the objectives of its
     accepted states, observed from outside.  Each step starts its `_exp`
     from the current accepted state, so a state is accepted iff the next
@@ -263,8 +265,8 @@ def accepted_objectives(monkeypatch, Q, p0, step):
     descent_state = frechet._descent_state
     exp = Q.manifold._exp
 
-    def record_state(m, Q, coords, cut_tol):
-        out = descent_state(m, Q, coords, cut_tol)
+    def record_state(m, Q, coords):
+        out = descent_state(m, Q, coords)
         events.append(("state", coords, out[1]))
         return out
 
@@ -275,7 +277,7 @@ def accepted_objectives(monkeypatch, Q, p0, step):
     with monkeypatch.context() as patch:
         patch.setattr(frechet, "_descent_state", record_state)
         patch.setattr(Q.manifold, "_exp", record_exp)
-        res = karcher_descent(Q, p0, step=step, certify=False)
+        res = karcher_descent(Q, p0)
     assert events[-1][0] == "state"
     trace, next_start = [], None
     for kind, coords, f in reversed(events):
@@ -289,14 +291,15 @@ def accepted_objectives(monkeypatch, Q, p0, step):
 
 def test_karcher_descent_monotone_objective(monkeypatch):
     """The objective is nonincreasing across accepted steps, up to the
-    descent's 1e-14 relative slack; the long steps (``step=2.5``) of the
+    descent's 1e-14 relative slack; the long steps (``STEP = 2.5``) of the
     second configuration make the descent backtrack."""
     sph = Sphere(2)
     for seed, step, rejects in ((64, 1.0, False), (65, 2.5, True)):
+        monkeypatch.setattr(frechet, "STEP", step)
         rng = rng_for(seed)
         pts = tuple(sph.random_point(rng) for _ in range(5))
         Q = Configuration(sph, pts)
-        res, trace, states = accepted_objectives(monkeypatch, Q, pts[0], step)
+        res, trace, states = accepted_objectives(monkeypatch, Q, pts[0])
         assert len(trace) == res.iterations + 1
         assert trace[-1] == res.objective
         assert (states > len(trace)) == rejects
@@ -417,7 +420,7 @@ def test_barycenter_check_near_cut_reports_boundary():
     eps = 1e-10
     near = sph.point([math.sin(eps), 0.0, -math.cos(eps)])
     Q = Configuration(sph, (q, other, near))
-    residual, label = barycenter_check(Q, q, tol=1e-8)
+    residual, label = barycenter_check(Q, q)
     assert label == BOUNDARY_UNCLASSIFIED
     assert math.isfinite(residual)
 

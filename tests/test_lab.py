@@ -71,6 +71,7 @@ def test_parse_config_errors():
         ("atom_tol = 0", "atom_tol must be > 0"),
         ("k = -1", "k must be > 0"),
         ("sigma = -0.5", "sigma must be >= 0"),
+        ("restarts = -2", "restarts must be >= 0"),
     ],
 )
 def test_parse_config_refuses_bad_numeric_settings(setting, message):

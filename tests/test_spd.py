@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rng_for, sample_ball
@@ -288,6 +288,23 @@ def test_spd_validate_rejects_non_finite(bad):
         spd_validate(S)
 
 
+def test_sampled_spd_with_rounding_asymmetry_is_accepted():
+    """`sample_spd` forms ``U diag(exp(lam)) U^T``; with entries near 3e4
+    its rounding asymmetry exceeds 1e-12 absolute, yet it is a symmetric
+    draw, accepted because the symmetry rule scales with the matrix."""
+    S = sample_spd(rng_for(2111), 3, 2.0)
+    asymmetry = np.max(np.abs(S - S.T))
+    assert asymmetry > 1e-12
+    assert asymmetry <= 1e-15 * np.max(np.abs(S))
+    spd_validate(S)
+    assert eig_canonical(S).d.shape == (3,)
+    assert top_stratum_gap(S) > 0.0
+    relative = S.copy()
+    relative[0, 1] += 1e-9 * np.max(np.abs(S))
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        spd_validate(relative)
+
+
 VALID = np.array([[2.0, 0.3], [0.3, 1.0]])
 REFUSALS = {
     "non_square": (np.ones((2, 3)), InvalidInputError, "expected a square matrix, got (2, 3)"),
@@ -513,6 +530,15 @@ def test_psr_mean_single_sample():
     assert res.unique_up_to_G
 
 
+def test_psr_mean_refuses_negative_restarts():
+    """A negative ``restarts`` is refused, not read as "no restarts" with
+    ``unique_up_to_G=True``; zero restarts stay valid."""
+    S = np.diag([5.0, 2.0])
+    with pytest.raises(InvalidInputError, match="restarts must be >= 0"):
+        psr_mean([S], restarts=-1)
+    assert psr_mean([S], restarts=0).unique_up_to_G
+
+
 def test_psr_mean_commuting_diagonals_geometric_mean():
     a, b = 2.0, 3.0
     res = psr_mean([np.diag([a, 1.0]), np.diag([b, 1.0])])
@@ -719,6 +745,8 @@ def test_efm_and_psr_objectives_are_g_invariant(seed, m, k, sigma, size):
 
 @settings(max_examples=60, deadline=None)
 @given(**invariant_cases)
+# its second draw has entries near 1e4 and rounding asymmetry above 1e-12
+@example(seed=11, m=3, k=0.25, sigma=2.0)
 def test_d_sr_and_d_psr_are_symmetric_and_g_invariant(seed, m, k, sigma):
     """d_sr is symmetric, d_psr is symmetric between two matrices' fibres,
     and moving either eigendecomposition along its fibre changes neither."""
