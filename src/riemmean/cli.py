@@ -212,6 +212,10 @@ def _cmd_psr_dist(args) -> int:
         b = parse_spd(args.b)
         for name, S in (("--a", a), ("--b", b)):
             _check_spd_size(len(S), f"the size of {name}")
+        if len(a) != len(b):
+            raise InvalidInputError(
+                f"--a is {len(a)}x{len(a)} but --b is {len(b)}x{len(b)}"
+            )
     _emit([("d_sr", _fmt(d_sr(a, b, args.k, args.gap_tol)))], args.csv)
     return 0
 

@@ -56,27 +56,39 @@ class MetricConstants:
         return cls(r_inj, delta_sup, rcx_from_constants(r_inj, delta_sup))
 
 
-def check_symmetric(S: np.ndarray, sym_tol: float) -> None:
-    """Refuse ``max|S - S^T| > sym_tol * max(1, max|S|)``: a computed
-    ``U diag(lam) U^T`` is symmetric only to a few ulps of its largest entry."""
+# the symmetry rule's relative bound (`check_symmetric`)
+SYM_TOL = 1e-12
+
+
+def check_symmetric(S) -> np.ndarray:
+    """Check that ``S`` is a finite square matrix with
+    ``max|S - S^T| <= SYM_TOL * max(1, max|S|)``; returns it as a float
+    array.  The bound is relative because a computed ``U diag(lam) U^T`` is
+    symmetric only to a few ulps of its largest entry.  This is the one
+    symmetric-matrix check: `sym_eig` and every SPD input check call it."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise InvalidInputError(f"expected a square matrix, got {S.shape}")
+    if not np.isfinite(S).all():
+        raise InvalidInputError("matrix has a non-finite entry")
     asym = np.abs(S - S.T).max()
     # the same rule, split so that an exactly symmetric S skips max|S|
-    if asym > sym_tol and asym > sym_tol * np.abs(S).max():
+    if asym > SYM_TOL and asym > SYM_TOL * np.abs(S).max():
         raise InvalidInputError("matrix is not symmetric within tolerance")
+    return S
 
 
-def sym_eig(S: np.ndarray, sym_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a small symmetric matrix.
 
     Returns ``(U, lam)`` with ``U`` orthogonal, ``det U = +1``, ``lam``
     sorted descending, and ``U @ diag(lam) @ U.T == S`` to working accuracy.
     The determinant is fixed by negating the last eigenvector column when
-    needed, which preserves the decomposition.
+    needed, which preserves the decomposition.  Refuses what
+    `check_symmetric` refuses: a non-square, non-finite or non-symmetric
+    matrix.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {S.shape}")
-    check_symmetric(S, sym_tol)
+    S = check_symmetric(S)
     lam, U = np.linalg.eigh(0.5 * (S + S.T))
     lam = lam[::-1].copy()
     U = U[:, ::-1].copy()
@@ -86,7 +98,8 @@ def sym_eig(S: np.ndarray, sym_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarr
 
 
 def expm_sym(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix (spectral)."""
+    """Matrix exponential of a symmetric matrix (spectral); refuses what
+    `sym_eig` refuses."""
     U, lam = sym_eig(A)
     return (U * np.exp(lam)) @ U.T
 

@@ -62,12 +62,6 @@ from .spd import (
     top_stratum_gap,
 )
 
-EXPERIMENTS = (
-    "sphere_genericity",
-    "rp2_equivariance",
-    "psr_genericity",
-    "psr_uniqueness",
-)
 SPHERE_SAMPLERS = ("uniform", "vmf", "point_mass_equator")
 CSV_COLUMNS = (
     "trial",
@@ -104,7 +98,7 @@ class ExperimentConfig:
     out_summary: str = ""
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _SETUPS:
             raise InvalidInputError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1 or self.sample_size < 1:
             raise InvalidInputError("trials and sample_size must be >= 1")
@@ -554,6 +548,7 @@ def _psr_uniqueness(cfg: ExperimentConfig) -> _Study:
     return _Study(trial, extras=extras)
 
 
+# every experiment the lab runs, by name: `ExperimentConfig` refuses others
 _SETUPS = {
     "sphere_genericity": _sphere_genericity,
     "rp2_equivariance": _rp2_equivariance,

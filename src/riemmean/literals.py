@@ -82,34 +82,31 @@ def format_matrix(S: np.ndarray) -> str:
     return ",".join(format(x, ".17g") for x in np.asarray(S).ravel())
 
 
-def read_points_file(manifold: Manifold, path: str) -> list[Point]:
-    """One point literal per line; ``#`` comments and blank lines ignored."""
-    points = []
+def _read_lines(path: str, parse, what: str) -> list:
+    """``parse`` of every line of the file at ``path``, skipping ``#``
+    comments and blank lines.  A refusal is prefixed with ``path:lineno``;
+    a file without a value is refused as holding no ``what``."""
+    values = []
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             try:
-                points.append(parse_point(manifold, line))
+                values.append(parse(line))
             except InvalidInputError as exc:
                 raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
-    if not points:
-        raise InvalidInputError(f"{path}: no points found")
-    return points
+    if not values:
+        raise InvalidInputError(f"{path}: no {what} found")
+    return values
+
+
+def read_points_file(manifold: Manifold, path: str) -> list[Point]:
+    """One point literal per line, read as `_read_lines` reads a file."""
+    return _read_lines(path, lambda line: parse_point(manifold, line), "points")
 
 
 def read_spd_file(path: str, m: int | None = None) -> list[np.ndarray]:
-    mats = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                mats.append(parse_spd(line, m))
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
-    if not mats:
-        raise InvalidInputError(f"{path}: no matrices found")
-    return mats
+    """One SPD literal per line, each of size ``m`` when given, read as
+    `_read_lines` reads a file."""
+    return _read_lines(path, lambda line: parse_spd(line, m), "matrices")

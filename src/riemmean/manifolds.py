@@ -30,6 +30,10 @@ Each kind writes its per-point kernels ``_exp``, ``_log``, ``_dist`` and
   mean squared norm (the mean squared distance), formed in one pass without
   the individual rows.
 
+The base class builds every kind's tangent basis, products included, by
+Gram-Schmidt under ``_inner`` on the ``_project`` of the embedding's
+standard basis.
+
 `_log` raises `CutLocusError` when ``q`` is within ``tol`` of the cut locus
 of ``p``, and that refusal is the one cut-locus rule: the base class derives
 from it
@@ -222,7 +226,7 @@ class Manifold:
         deterministic order."""
         self._own(p)
         basis: list[np.ndarray] = []
-        for ambient in self._ambient_basis(p.coords):
+        for ambient in self._ambient_basis():
             cand = self._project(p.coords, ambient)
             for b in basis:
                 cand = cand - self._inner(p.coords, cand, b) * b
@@ -265,8 +269,11 @@ class Manifold:
     def _project(self, p: np.ndarray, ambient: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _ambient_basis(self, p: np.ndarray):
-        raise NotImplementedError
+    def _ambient_basis(self) -> np.ndarray:
+        """The standard basis of the embedding, one coordinate array of
+        shape ``shape`` per entry, in row-major order: `tangent_basis`
+        projects and orthonormalizes it."""
+        return np.eye(math.prod(self.shape)).reshape((-1,) + self.shape)
 
     def _random_coords(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -326,9 +333,6 @@ class Euclidean(Manifold):
 
     def _project(self, p, ambient):
         return ambient
-
-    def _ambient_basis(self, p):
-        return np.eye(self.n)
 
     def _random_coords(self, rng):
         return rng.standard_normal(self.n)
@@ -405,9 +409,6 @@ class Sphere(Manifold):
     def _project(self, p, ambient):
         return ambient - np.dot(p, ambient) * p
 
-    def _ambient_basis(self, p):
-        return np.eye(self.n + 1)
-
     def _random_coords(self, rng):
         v = rng.standard_normal(self.n + 1)
         return v / np.linalg.norm(v)
@@ -468,8 +469,8 @@ class SpecialOrthogonal(Manifold):
     def __init__(self, m: int, k: float = 1.0):
         if m < 2:
             raise InvalidInputError("SO(m) needs m >= 2")
-        if not (k > 0):
-            raise InvalidInputError("metric scale k must be positive")
+        if not (math.isfinite(k) and k > 0):
+            raise InvalidInputError(f"metric scale k must be finite and > 0, got {k}")
         self.m = m
         self.k = float(k)
         self.dim = m * (m - 1) // 2
@@ -515,14 +516,6 @@ class SpecialOrthogonal(Manifold):
     def _project(self, p, ambient):
         X = p.T @ ambient
         return p @ (0.5 * (X - X.T))
-
-    def _ambient_basis(self, p):
-        m = self.m
-        for i in range(m):
-            for j in range(m):
-                E = np.zeros((m, m))
-                E[i, j] = 1.0
-                yield E
 
     def _random_coords(self, rng):
         Q, R = np.linalg.qr(rng.standard_normal((self.m, self.m)))
@@ -589,9 +582,6 @@ class DiagPos(Manifold):
     def _project(self, p, ambient):
         return ambient
 
-    def _ambient_basis(self, p):
-        return np.eye(self.m)
-
     def _random_coords(self, rng):
         return np.exp(rng.standard_normal(self.m))
 
@@ -628,8 +618,7 @@ class Product(Manifold):
         self.is_compact = all(f.is_compact for f in factors)
         self.manifold_id = "product(" + ";".join(f.manifold_id for f in factors) + ")"
         self._shapes = [f.shape for f in factors]
-        self._sizes = [int(np.prod(s)) for s in self._shapes]
-        ends = np.cumsum(self._sizes).tolist()
+        ends = np.cumsum([math.prod(s) for s in self._shapes]).tolist()
         self._slices = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
         self.shape = (ends[-1],)
         r_inj = min(f.constants.r_inj for f in factors)
@@ -716,18 +705,6 @@ class Product(Manifold):
                 for f, pp, aa in zip(self.factors, self.split(p), self.split(ambient))
             ]
         )
-
-    def tangent_basis(self, p: Point) -> list[Tangent]:
-        # factor bases are already orthonormal and mutually orthogonal
-        self._own(p)
-        parts = self.split(p.coords)
-        out = []
-        for i, (f, pp) in enumerate(zip(self.factors, parts)):
-            for t in f.tangent_basis(Point(f.manifold_id, _frozen(pp))):
-                blocks = [np.zeros(s) for s in self._sizes]
-                blocks[i] = t.vec.ravel()
-                out.append(Tangent(p, _frozen(np.concatenate(blocks))))
-        return out
 
     def _random_coords(self, rng):
         return _join([f._random_coords(rng) for f in self.factors])

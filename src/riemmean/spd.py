@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import check_symmetric, expm_sym, rotation_norm, sym_eig
 from .equivariant import FiniteAction, QuotientPoint, efm_solve
-from .errors import DegenerateSpectrumError, InvalidInputError
+from .errors import DegenerateSpectrumError, InvalidInputError, NoConvergenceError
 from .manifolds import DiagPos, Point, Product, SpecialOrthogonal, _frozen
 
 GAP_TOL = 1e-8
@@ -168,21 +168,10 @@ def act(h: SignedPermutation, pair: EigenPair) -> EigenPair:
     return EigenPair(pair.U @ M.T, new_d)
 
 
-def _symmetric(S: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
-    """Check that ``S`` is a finite square matrix, symmetric within
-    ``sym_tol`` as `check_symmetric` measures it; returns the array."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got {S.shape}")
-    if not np.isfinite(S).all():
-        raise InvalidInputError("matrix has a non-finite entry")
-    check_symmetric(S, sym_tol)
-    return S
-
-
-def spd_validate(S: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
-    """Check symmetry and positive-definiteness; returns the array."""
-    S = _symmetric(S, sym_tol)
+def spd_validate(S: np.ndarray) -> np.ndarray:
+    """Check symmetry as `check_symmetric` does, and positive-definiteness;
+    returns the array."""
+    S = check_symmetric(S)
     if np.min(np.linalg.eigvalsh(S)) <= 0.0:
         raise InvalidInputError("matrix is not positive definite")
     return S
@@ -191,7 +180,7 @@ def spd_validate(S: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
 def top_stratum_gap(S: np.ndarray) -> float:
     """Minimum consecutive gap of the sorted spectrum; 0 on repeated
     eigenvalues.  Refuses what `spd_validate` refuses, from one eigensolve."""
-    lam = np.sort(np.linalg.eigvalsh(_symmetric(S)))[::-1]
+    lam = np.sort(np.linalg.eigvalsh(check_symmetric(S)))[::-1]
     if lam[-1] <= 0.0:
         raise InvalidInputError("matrix is not positive definite")
     return float(np.min(lam[:-1] - lam[1:]))
@@ -203,22 +192,25 @@ def eig_canonical(S: np.ndarray, gap_tol: float = GAP_TOL) -> EigenPair:
     Eigenvalues sorted descending; each eigenvector's first nonzero entry is
     made positive, then the last column is negated if needed for det +1.
     Near-degenerate spectra (min gap < ``gap_tol``) are refused: their fiber
-    is not a finite group orbit.
+    is not a finite group orbit.  A non-finite or non-positive ``gap_tol``
+    is refused first.
 
     Validates ``S`` as `spd_validate` does, with the same refusals, but
-    takes the positive-definiteness test from the decomposition's own
-    eigenvalues: one eigensolve per matrix.  Memoised on the matrix's
-    bytes, shape and ``gap_tol``: the last `EIG_CACHE_SIZE` decompositions
-    are kept and shared (the pair is immutable).  Refusals raise on every
-    call.
+    runs `check_symmetric` once, inside `sym_eig`, and takes the
+    positive-definiteness test from the decomposition's own eigenvalues:
+    one eigensolve per matrix.  Memoised on the matrix's bytes, shape and
+    ``gap_tol``: the last `EIG_CACHE_SIZE` decompositions are kept and
+    shared (the pair is immutable).  Refusals raise on every call.
     """
+    if not (math.isfinite(gap_tol) and gap_tol > 0.0):
+        raise InvalidInputError(f"gap_tol must be finite and > 0, got {gap_tol}")
     S = np.asarray(S, dtype=float)
     return _eig_canonical(S.tobytes(), S.shape, gap_tol)
 
 
 @functools.lru_cache(maxsize=EIG_CACHE_SIZE)
 def _eig_canonical(data: bytes, shape: tuple[int, ...], gap_tol: float) -> EigenPair:
-    U, lam = sym_eig(_symmetric(np.frombuffer(data).reshape(shape)))
+    U, lam = sym_eig(np.frombuffer(data).reshape(shape))
     if np.min(lam) <= 0.0:
         raise InvalidInputError("matrix is not positive definite")
     if len(lam) >= 2 and float(np.min(lam[:-1] - lam[1:])) < gap_tol:
@@ -296,13 +288,21 @@ def _gm_action(m: int, k: float) -> FiniteAction:
     )
 
 
+def _common_size(a: EigenPair, b: EigenPair) -> int:
+    """The size m of two decompositions; refuses two different sizes."""
+    m, n = len(a.d), len(b.d)
+    if m != n:
+        raise InvalidInputError(f"matrix sizes differ: {m}x{m} and {n}x{n}")
+    return m
+
+
 def d_psr(
     S: np.ndarray, pair: EigenPair, k: float = 1.0, gap_tol: float = GAP_TOL
 ) -> float:
     """Partial scaling-rotation distance: fiber of ``S`` to the fixed
-    eigendecomposition ``pair``."""
+    eigendecomposition ``pair``, of the same size."""
     canon = eig_canonical(S, gap_tol)
-    action = gm_action(S.shape[0], k)
+    action = gm_action(_common_size(canon, pair), k)
     return action.orbit_dist(canon.fiber(action.cover), pair.to_point(action.cover))
 
 
@@ -314,10 +314,11 @@ def d_sr(
     fibers.  One-sided group minimization suffices since the action is
     isometric.  The orbit taken is that of ``S2``'s decomposition, kept on
     its `EigenPair`: repeated distances to one fixed ``S2`` (the lab's
-    rejection tests against its centre) build that orbit once."""
-    c1 = eig_canonical(np.asarray(S1, dtype=float), gap_tol)
-    c2 = eig_canonical(np.asarray(S2, dtype=float), gap_tol)
-    action = gm_action(c1.U.shape[0], k)
+    rejection tests against its centre) build that orbit once.  Matrices
+    of different sizes are refused."""
+    c1 = eig_canonical(S1, gap_tol)
+    c2 = eig_canonical(S2, gap_tol)
+    action = gm_action(_common_size(c1, c2), k)
     return action.orbit_dist(c2.fiber(action.cover), c1.to_point(action.cover))
 
 
@@ -384,8 +385,6 @@ def psr_mean(
     if restarts > 0:
         if rng is None:
             rng = np.random.Generator(np.random.Philox(key=[0x9512, 0]))
-        from .errors import NoConvergenceError
-
         for _ in range(restarts):
             h = action.elements[int(rng.integers(action.order))]
             j = int(rng.integers(len(Q)))
@@ -423,15 +422,17 @@ def psr_constants(m: int, k: float = 1.0) -> PsrConstants:
     over nonidentity group elements (at most pi/2: a single quarter-turn
     plane is always available); the cover's convexity radius is
     ``sqrt(k) pi / 2``; the quotient radii are ``sqrt(k) beta_gp / 2`` and
-    ``sqrt(k) beta_gp / 4``.
+    ``sqrt(k) beta_gp / 4``.  ``k`` is refused as `SpecialOrthogonal`
+    refuses it: it must be finite and positive.
     """
     elements = group_enumerate(m)
+    r_cx_cover = cover_manifold(m, k).constants.r_cx
     beta_gp = min(float(rotation_norm(h.matrix)) for h in elements[1:])
     assert beta_gp <= math.pi / 2 + 1e-12
     sqrt_k = math.sqrt(k)
     return PsrConstants(
         beta_gp=beta_gp,
-        r_cx_cover=sqrt_k * math.pi / 2.0,
+        r_cx_cover=r_cx_cover,
         r_inj_quotient=sqrt_k * beta_gp / 2.0,
         r_cx_quotient=sqrt_k * beta_gp / 4.0,
     )

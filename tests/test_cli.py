@@ -1,10 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riemmean
 from riemmean.cli import main
-from riemmean.literals import format_point, parse_point, parse_spd, read_points_file
+from riemmean.literals import (
+    format_point,
+    parse_point,
+    parse_spd,
+    read_points_file,
+    read_spd_file,
+)
 from riemmean.manifolds import parse_manifold
 from riemmean.errors import InvalidInputError
 
@@ -62,6 +73,35 @@ def test_points_file_comments(tmp_path):
     path.write_text("# heading\n1,0,0\n\n0,1,0  # inline\n")
     pts = read_points_file(parse_manifold("sphere:2"), str(path))
     assert len(pts) == 2
+
+
+def test_spd_file_comments(tmp_path):
+    path = tmp_path / "spd.txt"
+    path.write_text("# heading\n2,0,0,1\n\n3,0.5,0.5,1  # inline\n")
+    mats = read_spd_file(str(path), 2)
+    assert [S.tolist() for S in mats] == [[[2, 0], [0, 1]], [[3, 0.5], [0.5, 1]]]
+
+
+@pytest.mark.parametrize(
+    "read, bad_line, empty",
+    [
+        (lambda path: read_points_file(parse_manifold("sphere:2"), path),
+         "expected shape (3,), got (2,)", "no points found"),
+        (lambda path: read_spd_file(path, 2),
+         "SPD literal length 2 is not a square", "no matrices found"),
+    ],
+    ids=["points", "spd"],
+)
+def test_line_files_name_the_bad_line_and_refuse_an_empty_file(tmp_path, read, bad_line, empty):
+    path = tmp_path / "values.txt"
+    path.write_text("# heading\n\n1,0\n")
+    with pytest.raises(InvalidInputError) as info:
+        read(str(path))
+    assert str(info.value) == f"{path}:3: {bad_line}"
+    path.write_text("# only a comment\n\n")
+    with pytest.raises(InvalidInputError) as info:
+        read(str(path))
+    assert str(info.value) == f"{path}: {empty}"
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -236,11 +276,16 @@ def test_experiment_with_non_finite_setting_exits_2(capsys, tmp_path):
             ("psr-mean", "--m", "2", "--samples", "{samples}", "--restarts", "-3"),
             "--restarts must be >= 0",
         ),
+        (
+            ("psr-dist", "--a", "4,0,0,1", "--b", "4,0,0,0,2,0,0,0,1"),
+            "--a is 2x2 but --b is 3x3",
+        ),
     ],
 )
 def test_spd_size_and_restarts_are_usage_errors(capsys, tmp_path, argv, message):
-    """An SPD size outside 2..5 and a negative ``--restarts`` exit 2 before
-    any solve, whichever command they reach."""
+    """An SPD size outside 2..5, two different sizes for ``psr-dist`` and a
+    negative ``--restarts`` exit 2 before any solve, whichever command they
+    reach."""
     samples = tmp_path / "spd.txt"
     samples.write_text("2,0,0,1\n3,0,0,1\n")
     code, out, err = run_cli(capsys, *(a.format(samples=samples) for a in argv))
@@ -303,3 +348,24 @@ def test_selftest_command(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "selftest: PASS" in out
+
+
+# -- import cost ----------------------------------------------------------------
+
+
+def test_import_riemmean_leaves_the_front_end_unloaded():
+    """``import riemmean`` loads the library only: the CLI, the selftest,
+    the literal parsers and argparse load when the CLI runs.  Every module
+    loaded at import is compiled in a fresh process without bytecode
+    caches, which the benchmark's set-up time counts."""
+    src = str(Path(riemmean.__file__).resolve().parents[1])
+    probe = (
+        "import sys, riemmean; "
+        "print(','.join(sorted(m for m in ('riemmean.cli', 'riemmean.selftest', "
+        "'riemmean.literals', 'argparse') if m in sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == ""

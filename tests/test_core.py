@@ -10,6 +10,7 @@ from riemmean.core import (
     MetricConstants,
     angle_frame,
     check_symmetric,
+    expm_sym,
     minimal_rotation_logs,
     rcx_from_constants,
     rotation_angles,
@@ -78,7 +79,7 @@ def test_sym_eig_rejects_nonsymmetric():
 
 
 def test_symmetry_rule_is_relative_above_unit_entries():
-    """`check_symmetric` scales ``sym_tol`` by ``max(1, max|S|)``: rounding
+    """`check_symmetric` scales ``SYM_TOL`` by ``max(1, max|S|)``: rounding
     asymmetry of a few ulps of a large entry passes, a relative asymmetry
     of 1e-9 does not, and below unit entries the bound stays absolute."""
     big = np.diag([3.0e4, 2.0e4, 1.0e4])
@@ -86,16 +87,29 @@ def test_symmetry_rule_is_relative_above_unit_entries():
     rounding = big.copy()
     rounding[0, 1] += 2 * np.spacing(1.5e4)
     assert np.max(np.abs(rounding - rounding.T)) > 1e-12
-    check_symmetric(rounding, 1e-12)
+    check_symmetric(rounding)
     sym_eig(rounding)
     skewed = big.copy()
     skewed[0, 1] += 1e-9 * 3.0e4
-    for refuse in (lambda S: check_symmetric(S, 1e-12), sym_eig):
+    for refuse in (check_symmetric, sym_eig):
         with pytest.raises(InvalidInputError, match="not symmetric"):
             refuse(skewed)
     small = np.array([[1e-3, 0.0], [2e-12, 1e-3]])
     with pytest.raises(InvalidInputError, match="not symmetric"):
-        check_symmetric(small, 1e-12)
+        check_symmetric(small)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sym_eig_and_expm_sym_refuse_non_finite(bad):
+    """A NaN asymmetry compares False against any bound, so finiteness is
+    checked on its own: on the diagonal, and in a symmetric pair that the
+    symmetry rule alone would pass."""
+    diagonal = np.diag([bad, 1.0])
+    pair = np.array([[1.0, bad], [bad, 1.0]])
+    for refuse in (check_symmetric, sym_eig, expm_sym):
+        for S in (diagonal, pair):
+            with pytest.raises(InvalidInputError, match="matrix has a non-finite entry"):
+                refuse(S)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

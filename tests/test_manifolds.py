@@ -305,6 +305,48 @@ def test_tangent_basis_orthonormal_deterministic():
             assert np.array_equal(u.vec, v.vec)
 
 
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_so_refuses_a_non_finite_or_non_positive_scale(k):
+    with pytest.raises(InvalidInputError, match="metric scale k must be finite and > 0"):
+        SpecialOrthogonal(3, k)
+
+
+def factorwise_tangent_basis(product, p):
+    """The factor bases at the factor points, zero-padded into the product's
+    coordinates, in factor order: mutually orthogonal under the product
+    metric, so already an orthonormal basis."""
+    parts = product.split(p.coords)
+    sizes = [part.size for part in parts]
+    out = []
+    for i, (f, pp) in enumerate(zip(product.factors, parts)):
+        for t in f.tangent_basis(Point(f.manifold_id, _frozen(pp))):
+            blocks = [np.zeros(size) for size in sizes]
+            blocks[i] = t.vec.ravel()
+            out.append(np.concatenate(blocks))
+    return out
+
+
+@pytest.mark.parametrize(
+    "product",
+    [
+        cover_manifold(2),
+        cover_manifold(3, 0.25),
+        cover_manifold(3, 4.0),
+        parse_manifold("product(sphere:2;euclidean:2)"),
+    ],
+    ids=lambda m: m.manifold_id,
+)
+def test_product_tangent_basis_is_the_factor_bases(product):
+    """Gram-Schmidt on the product's standard basis gives each factor's own
+    basis, zero-padded, bit for bit: the factors' inner products of
+    vectors from different factors are exactly zero."""
+    rng = rng_for(45)
+    for _ in range(50):
+        p = product.random_point(rng)
+        got = [t.vec.tobytes() for t in product.tangent_basis(p)]
+        assert got == [v.tobytes() for v in factorwise_tangent_basis(product, p)]
+
+
 def test_parse_manifold_roundtrip():
     for spec in ["euclidean:2", "sphere:3", "so:3:k=0.5", "diagpos:4",
                  "product(so:2:k=1.0;diagpos:2)"]:

@@ -364,6 +364,34 @@ def test_psr_mean_refuses_mixed_sizes_after_validating_every_sample(warm):
         assert raised(psr_mean, [big, VALID, bad]) == (error, message)
 
 
+@pytest.mark.parametrize("gap_tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_gap_tol_is_refused_before_the_cache(gap_tol, warm):
+    """A non-finite or non-positive ``gap_tol`` is refused by
+    `eig_canonical` before its cache, for a degenerate matrix too, so every
+    `spd` entry point that decomposes refuses it."""
+    if warm:
+        eig_canonical(VALID)
+    refusal = (InvalidInputError, f"gap_tol must be finite and > 0, got {gap_tol}")
+    for S in (VALID, np.eye(2)):
+        assert raised(eig_canonical, S, gap_tol) == refusal
+    pair = eig_canonical(VALID)
+    assert raised(lambda: d_sr(VALID, VALID, gap_tol=gap_tol)) == refusal
+    assert raised(lambda: d_psr(VALID, pair, gap_tol=gap_tol)) == refusal
+    assert raised(lambda: psr_objective([VALID], pair, gap_tol=gap_tol)) == refusal
+    assert raised(lambda: psr_mean([VALID], gap_tol=gap_tol)) == refusal
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_metric_scale_is_refused_as_so_refuses_it(k):
+    """`psr_constants`, `gm_action` and `cover_manifold` reach the one rule
+    of `SpecialOrthogonal`: no math domain error, no zero or NaN radii, no
+    NaN displacement floors."""
+    refusal = (InvalidInputError, f"metric scale k must be finite and > 0, got {k}")
+    for build in (psr_constants, gm_action, cover_manifold):
+        assert raised(build, 2, k) == refusal
+
+
 # -- distances ---------------------------------------------------------------------
 
 
@@ -465,6 +493,17 @@ def test_d_sr_builds_a_fixed_matrix_orbit_once(monkeypatch):
 
 
 # -- objective ------------------------------------------------------------------------
+
+
+def test_distances_refuse_different_sizes():
+    """A 2x2 and a 3x3 matrix have no distance: `d_sr` and `d_psr` refuse
+    them naming both sizes, and `psr_objective` through `d_psr`."""
+    small, big = np.diag([2.0, 1.0]), np.diag([3.0, 2.0, 1.0])
+    refusal = (InvalidInputError, "matrix sizes differ: 2x2 and 3x3")
+    assert raised(d_sr, small, big) == refusal
+    assert raised(d_sr, big, small) == (InvalidInputError, "matrix sizes differ: 3x3 and 2x2")
+    assert raised(d_psr, small, eig_canonical(big)) == refusal
+    assert raised(psr_objective, [small], eig_canonical(big)) == refusal
 
 
 def test_psr_objective_fiber_point_zero():
