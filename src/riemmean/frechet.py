@@ -29,6 +29,8 @@ from .errors import (
 )
 from .manifolds import (
     CUT_TOL,
+    DiagPos,
+    Euclidean,
     Manifold,
     Point,
     Product,
@@ -113,9 +115,9 @@ class Certificate:
     ``certified`` is True iff a ball of radius below ``r_cx - AFSARI_MARGIN``
     contains the configuration; ``center`` and ``radius`` are then that
     witness ball.  When False, they are the smallest ball the search
-    reached: the best data point and its farthest distance if the diameter
-    ruled out every witness ball before the refinement started, else the
-    refinement's best iterate.
+    reached: the best data point and its farthest distance if the curvature
+    lower bound (`_enclosing_radius_bound`) ruled out every witness ball
+    before the refinement started, else the refinement's best iterate.
     """
 
     certified: bool
@@ -146,15 +148,17 @@ def _descent_state(m: Manifold, Q: Configuration, coords: np.ndarray):
     """The descent state at ``coords``: step direction, objective and
     gradient norm.
 
-    The step direction is ``Y_Q``, the mean of the data's logs, and off cut
-    loci ``dist == |log|``, so the objective is the mean squared log norm.
-    One `_log_mean` pass over the data stack forms both without the
-    individual logs; the gradient norm is the norm of the direction.
-    Raises `CutLocusError` when some data point is within ``CUT_TOL`` of
-    the cut locus of ``coords``.
+    One pass of the kind's `_karcher_step` kernel over the data stack forms
+    all three.  Off cut loci ``dist == |log|``, so the objective is the mean
+    squared log norm, and the gradient norm is the norm of ``Y_Q``, the
+    mean of the data's logs.  The step direction is ``Y_Q`` itself, the
+    exact Newton step of the flat kinds, except on SO(3), whose constant
+    curvature gives the Newton step in closed form
+    (`SpecialOrthogonal._karcher_step`).  Raises `CutLocusError` when some
+    data point is within ``CUT_TOL`` of the cut locus of ``coords``.
     """
-    direction, f = m._log_mean(coords, Q.coord_stack, CUT_TOL)
-    g = math.sqrt(max(m._inner(coords, direction, direction), 0.0))
+    direction, f, mean = m._karcher_step(coords, Q.coord_stack, CUT_TOL)
+    g = math.sqrt(max(m._inner(coords, mean, mean), 0.0))
     return direction, f, g
 
 
@@ -165,16 +169,18 @@ def _check_descent_settings(tol) -> None:
 
 
 def karcher_descent(Q: Configuration, p0: Point, tol: float = DEFAULT_TOL) -> MeanResult:
-    """Gradient descent ``p <- exp(p, s * Y_Q(p))`` from ``s = STEP``,
-    halving ``s`` whenever the objective fails to decrease.
+    """Descent ``p <- exp(p, s * d(p))`` from ``s = STEP``, halving ``s``
+    whenever the objective fails to decrease.  The direction ``d`` is the
+    kind's `_karcher_step` (see `_descent_state`): the mean log ``Y_Q(p)``,
+    a gradient step, on every kind but SO(3), where it is the Newton step.
 
-    Returns once the gradient norm drops below ``tol``.  The objective is
-    nonincreasing across accepted steps up to a 1e-14 relative slack (near
-    the floating-point floor of the objective, genuine decreases are smaller
-    than one ulp; the slack lets the iteration keep contracting as the
-    classical fixed-point map instead of stalling).  Raises `CutLocusError`
-    when an iterate runs into a cut locus of some data point and
-    backtracking cannot recover, and `MaxIterExceededError` after
+    Returns once the gradient norm ``|Y_Q|`` drops below ``tol``.  The
+    objective is nonincreasing across accepted steps up to a 1e-14 relative
+    slack (near the floating-point floor of the objective, genuine decreases
+    are smaller than one ulp; the slack lets the iteration keep contracting
+    as the classical fixed-point map instead of stalling).  Raises
+    `CutLocusError` when an iterate runs into a cut locus of some data point
+    and backtracking cannot recover, and `MaxIterExceededError` after
     ``MAX_ITER`` iterations.
 
     The result is read off the final descent state, with no further pass
@@ -346,6 +352,56 @@ def _no_open_hemisphere(m: Manifold, stack: np.ndarray) -> bool:
     )
 
 
+# the kinds of `manifolds`, all of sectional curvature >= 0 (products of
+# such factors too), which `_enclosing_radius_bound` needs; a kind added to
+# `manifolds` must be checked against the bound and listed here
+CURVATURE_NONNEGATIVE = (Euclidean, Sphere, SpecialOrthogonal, DiagPos, Product)
+# Frank-Wolfe steps of `_enclosing_radius_bound` after the farthest pair
+BOUND_STEPS = 32
+
+
+def _enclosing_radius_bound(D2: np.ndarray, target: float) -> float:
+    """A lower bound on the radius of every ball that holds the data, from
+    the symmetric matrix ``D2`` of their squared distances (zero diagonal).
+    Returns once the bound reaches ``target``, which it need not exceed.
+
+    Proof.  Let c be any centre and v_i minimal logs at c of the data q_i,
+    so |v_i| = d(c, q_i).  On a complete manifold of sectional curvature
+    >= 0 (every kind of `CURVATURE_NONNEGATIVE`), Toponogov's hinge
+    comparison (Cheeger & Ebin 1975, ch. 2) bounds the side opposite the
+    hinge of the minimal geodesics from c to q_i and q_j by the flat one:
+    d(q_i, q_j) <= |v_i - v_j|.  So for every w on the simplex
+
+        max_i d(c, q_i)^2 >= sum_i w_i |v_i|^2
+                          >= sum_i w_i |v_i|^2 - |sum_i w_i v_i|^2
+                           = 1/2 sum_ij w_i w_j |v_i - v_j|^2
+                          >= 1/2 w^T D2 w,
+
+    and sqrt(w^T D2 w / 2) bounds every enclosing radius from below.
+
+    The farthest pair, w = (1/2, 1/2), gives half the diameter.  From there
+    Frank-Wolfe steps with exact line search raise it, carrying only
+    ``a = w^T D2 w`` and ``D2 w``, until no vertex improves or for at most
+    `BOUND_STEPS` steps.  Toward vertex e_k, with ``b = (D2 w)_k > a``, the
+    value on the segment ``(1 - t) w + t e_k`` is
+    ``(1 - t)^2 a + 2 t (1 - t) b`` (``D2_kk = 0``), concave in t with its
+    maximum at ``t = (b - a) / (2 b - a)`` in (0, 1).
+    """
+    reach = 2.0 * target * target
+    i, j = divmod(int(np.argmax(D2)), len(D2))
+    a = 0.5 * float(D2[i, j])
+    row = 0.5 * (D2[i] + D2[j])
+    for _ in range(BOUND_STEPS):
+        k = int(np.argmax(row))
+        b = float(row[k])
+        if a >= reach or b <= a:
+            break
+        t = (b - a) / (2.0 * b - a)
+        a = (1.0 - t) * ((1.0 - t) * a + 2.0 * t * b)
+        row = (1.0 - t) * row + t * D2[k]
+    return math.sqrt(0.5 * a)
+
+
 def afsari_certified(Q: Configuration) -> bool:
     """``afsari_certificate(Q).certified`` (Afsari's concentration flag),
     answered without the certificate when no open hemisphere of S^2 holds Q.
@@ -369,15 +425,18 @@ def afsari_certificate(Q: Configuration) -> Certificate:
     weight 1/(iter+1)).  Any witness ball suffices; optimality is not
     required.  A False result means "not certified", not "non-unique".
 
-    One pass over the data takes each point's farthest distance; the first
-    minimum picks the starting center and the maximum is the diameter.  The
-    search stops as soon as the answer is known, in either direction:
+    One pass over the data takes each point's distances to all the others;
+    the first point with the smallest farthest distance is the starting
+    center, and the rows form the matrix of data distances.  The search
+    stops as soon as the answer is known, in either direction:
 
     * certified, by a data point or a refinement iterate: ``center`` and
       ``radius`` are the witness ball;
-    * ruled out by the diameter (``diam / 2 >= r_cx - AFSARI_MARGIN / 2``),
-      before any refinement step: ``center`` is the best data point and
-      ``radius`` its farthest distance;
+    * ruled out by the curvature lower bound on every enclosing radius
+      (`_enclosing_radius_bound` of the data distances, at least half the
+      diameter, reaching ``r_cx - AFSARI_MARGIN / 2``), before any
+      refinement step: ``center`` is the best data point and ``radius`` its
+      farthest distance;
     * otherwise the refinement runs out (200 steps, or a cut locus) and
       ``center`` / ``radius`` are the smallest ball it reached.
     """
@@ -388,18 +447,24 @@ def afsari_certificate(Q: Configuration) -> Certificate:
     def distances(coords: np.ndarray) -> np.ndarray:
         return m._dist_block(coords, Q.coord_stack)
 
-    rows = [distances(q.coords) for q in Q.points]
-    radii = [float(np.max(d)) for d in rows]
-    best_radius = min(radii)
-    start = radii.index(best_radius)
+    rows = np.stack([distances(q.coords) for q in Q.points])
+    radii = rows.max(axis=1)
+    start = int(np.argmin(radii))
+    best_radius = float(radii[start])
     best = Q.points[start]
     if best_radius < bound:
         return Certificate(certified=True, center=best, radius=best_radius)
-    # Any ball containing Q has radius >= diam(Q) / 2 (triangle inequality),
-    # and the loop below certifies only radii below r_cx - AFSARI_MARGIN.  So
-    # from here it could certify only if its computed distances were off by
-    # more than AFSARI_MARGIN / 2; the half margin is round-off slack.
-    if max(radii) / 2.0 >= r_cx - AFSARI_MARGIN / 2.0:
+    # The loop below certifies only radii below r_cx - AFSARI_MARGIN, and no
+    # enclosing ball is smaller than the lower bound.  So once the bound
+    # reaches r_cx - AFSARI_MARGIN / 2, the loop could certify only if the
+    # computed distances were off by more than AFSARI_MARGIN / 2; the half
+    # margin is round-off slack.  The larger of the two computed distances
+    # of each pair makes the matrix symmetric.
+    D2 = np.square(rows)
+    D2 = np.maximum(D2, D2.T)
+    np.fill_diagonal(D2, 0.0)
+    target = r_cx - AFSARI_MARGIN / 2.0
+    if _enclosing_radius_bound(D2, target) >= target:
         return Certificate(certified=False, center=best, radius=best_radius)
     coords = best.coords
     for it in range(1, 201):

@@ -12,7 +12,7 @@ Supported kinds and their coordinate conventions:
 * ``DiagPos(m)``         -- positive diagonal matrices, stored as the m
   diagonal entries, with the log-Euclidean (flat) metric
   ``<u, v>_d = sum u_i v_i / d_i**2``, i.e. isometric to R^m via entrywise
-  log.  Nonpositive curvature, infinite injectivity radius.
+  log.  Flat (curvature 0), infinite injectivity radius.
 * ``Product(...)``       -- finite products, coordinates concatenated.
 
 Points and tangents are thin immutable wrappers around ndarray coordinates;
@@ -28,7 +28,11 @@ Each kind writes its per-point kernels ``_exp``, ``_log``, ``_dist`` and
 * ``_dist_block(p, stack)`` -- the K distances from ``p``;
 * ``_log_mean(p, stack, tol)`` -- the mean of the K logs at ``p`` and their
   mean squared norm (the mean squared distance), formed in one pass without
-  the individual rows.
+  the individual rows;
+* ``_karcher_step(p, stack, tol)`` -- the same pass plus the Karcher
+  descent's step direction: the mean log itself (the base class), except on
+  SO(3), whose constant curvature gives the Newton step in closed form, and
+  on products, which join their factors' steps.
 
 The base class builds every kind's tangent basis, products included, by
 Gram-Schmidt under ``_inner`` on the ``_project`` of the embedding's
@@ -46,14 +50,14 @@ So a point is in the cut locus iff its log refuses, and the block's rows are
 the per-point logs, by construction.  Only the sphere keeps its own
 ``_log_block``, on the helper its ``_log_mean`` shares.  ``_log_mean``
 refuses exactly when some row is within ``tol`` of the cut locus.  The
-solvers need only means, so the Karcher descent states, the gradient field
-and the barycenter check call ``_log_mean``; no solver calls
-``_log_block``.  Every minimum over a group orbit and the concentration
-certificate call ``_dist_block``.  SO(m) forms all relative rotations of a
-stack with one broadcast matmul and reads their angles in closed form for
-m <= 3, where each turns a single plane, or from one batched ``eigh`` for
-m >= 4 (its per-point ``_log`` and ``_dist`` are blocks of one); its mean
-log is one matmul of ``p`` with the mean skew log.
+solvers need only means, so the gradient field and the barycenter check
+call ``_log_mean``, and the Karcher descent states ``_karcher_step``; no
+solver calls ``_log_block``.  Every minimum over a group orbit and the
+concentration certificate call ``_dist_block``.  SO(m) forms all relative
+rotations of a stack with one broadcast matmul and reads their angles in
+closed form for m <= 3, where each turns a single plane, or from one
+batched ``eigh`` for m >= 4 (its per-point ``_log`` and ``_dist`` are
+blocks of one); its mean log is one matmul of ``p`` with the mean skew log.
 Products slice the stack's column ranges into factor blocks, and join the
 factor means and add the factor objectives.  This is the leading-batch-axis
 vectorization of Geomstats (Miolane et al., JMLR 2020).
@@ -259,6 +263,15 @@ class Manifold:
         without forming the rows; refuses iff some row's `_log` does."""
         raise NotImplementedError
 
+    def _karcher_step(self, p: np.ndarray, stack: np.ndarray, tol: float):
+        """``(step, mean_sq, mean_log)``: `_log_mean` of the rows of
+        ``stack`` at ``p`` and the Karcher descent's step direction, a
+        tangent at ``p``.  Here the step is the mean log itself, the exact
+        Newton step of ``mean_sq / 2`` on the flat kinds; a kind with a
+        closed-form Hessian overrides it.  Refuses as `_log_mean` does."""
+        mean, mean_sq = self._log_mean(p, stack, tol)
+        return mean, mean_sq, mean
+
     def _dist_block(self, p: np.ndarray, stack: np.ndarray) -> np.ndarray:
         """Distances from ``p`` to every row of ``stack``."""
         raise NotImplementedError
@@ -437,15 +450,27 @@ class Sphere(Manifold):
         theta, ratio, w = self._log_parts(p, stack, tol)
         return ratio[:, None] * w, theta * theta
 
-    def _log_mean(self, p, stack, tol):
+    # the base class's mean-log step, formed without its extra call level:
+    # a C9 trial forms about a thousand descent states
+    def _karcher_step(self, p, stack, tol):
         theta, ratio, w = self._log_parts(p, stack, tol)
         n = len(theta)
         # ndarray.dot is the same product as @ (bit for bit) with less
         # per-call overhead on these few rows
-        return ratio.dot(w) / n, float(theta.dot(theta)) / n
+        mean = ratio.dot(w) / n
+        return mean, float(theta.dot(theta)) / n, mean
+
+    def _log_mean(self, p, stack, tol):
+        mean, mean_sq, _ = self._karcher_step(p, stack, tol)
+        return mean, mean_sq
 
     def _dist_block(self, p, stack):
         return self._angles_block(p, stack)[0]
+
+
+# flat indices of the entries (2, 1), (0, 2) and (1, 0) of a 3 x 3 matrix:
+# the vector x of a skew matrix hat(x), so that hat(x) y = x cross y
+_HAT_ENTRIES = np.array([7, 2, 3])
 
 
 class SpecialOrthogonal(Manifold):
@@ -539,6 +564,40 @@ class SpecialOrthogonal(Manifold):
         X = self._skew_logs(p, stack, tol)
         n = len(X)
         return p @ (X.sum(axis=0) / n), self.k * 0.5 * float(np.vdot(X, X)) / n
+
+    def _karcher_step(self, p, stack, tol):
+        """On SO(3), the Newton step of ``mean_sq / 2``; other m keep the
+        mean log, since SO(m) for m >= 4 is not of constant curvature.
+
+        SO(3) under ``k * g_so`` has constant curvature ``1 / (4k)``.  Write
+        the skew logs as ``X_i = hat(x_i)``, with angles ``a_i = |x_i|``
+        (the distance is ``sqrt(k) a_i``) and axes ``u_i = x_i / a_i``.  In
+        these body coordinates the Hessian of ``d(., q_i)^2 / 2`` is
+        ``u_i u_i^T + c_i (I - u_i u_i^T)`` with
+        ``c_i = (a_i / 2) cot(a_i / 2)`` (1 at a_i = 0), as on every space
+        of constant curvature (Absil, Mahony & Sepulchre 2008, ch. 6); k
+        cancels.  For a_i < pi, where `_log` does not refuse, every c_i > 0,
+        so the mean Hessian H is positive definite, and the step
+        ``p hat(d)`` with ``H d = mean(x_i)`` descends.
+        """
+        if self.m != 3:
+            return super()._karcher_step(p, stack, tol)
+        X = self._skew_logs(p, stack, tol)
+        n = len(X)
+        total = X.sum(axis=0)
+        # the axis vectors x_i of the X_i = hat(x_i), and their angles
+        x = X.reshape(n, 9).take(_HAT_ENTRIES, axis=1)
+        a = np.hypot.reduce(x, axis=1)
+        # c_i = (a_i / 2) cot(a_i / 2); the floor makes it 1 at a_i = 0
+        half = np.maximum(0.5 * a, 1e-300)
+        c = half / np.tan(half)
+        # n H = sum_i c_i I + (1 - c_i) x_i x_i^T / a_i^2, solved against
+        # n mean(x_i)
+        H = (x.T * ((1.0 - c) / np.maximum(a * a, 1e-300))) @ x
+        H.flat[::4] += c.sum()
+        d0, d1, d2 = np.linalg.solve(H, total.reshape(9).take(_HAT_ENTRIES)).tolist()
+        step = np.array([[0.0, -d2, d1], [d2, 0.0, -d0], [-d1, d0, 0.0]])
+        return p @ step, self.k * 0.5 * float(np.vdot(X, X)) / n, p @ (total / n)
 
     def _dist_block(self, p, stack):
         return math.sqrt(self.k) * rotation_norm(self._relative(p, stack))
@@ -683,6 +742,21 @@ class Product(Manifold):
             means.append(mean)
             mean_sq += sq
         return _join(means), mean_sq
+
+    def _karcher_step(self, p, stack, tol):
+        # the factors' steps joined; where every factor steps along its mean
+        # log, the joined mean is the step, joined once
+        steps, means = [], []
+        mean_sq = 0.0
+        for f, pp, block in zip(self.factors, self.split(p), self._split_block(stack)):
+            step, sq, mean = f._karcher_step(pp, block, tol)
+            steps.append(step)
+            means.append(mean)
+            mean_sq += sq
+        joined = _join(means)
+        if all(s is m for s, m in zip(steps, means)):
+            return joined, mean_sq, joined
+        return _join(steps), mean_sq, joined
 
     def _dist_block(self, p, stack):
         sq = 0.0

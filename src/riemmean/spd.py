@@ -351,8 +351,9 @@ def psr_mean(
     """Partial scaling-rotation mean via the equivariant solver.
 
     Canonical sample lifts are alternately re-aligned over the group and
-    averaged by a Karcher step on the product cover (closed-form
-    log-Euclidean averaging on the diagonal factor, iterative on SO(m)).
+    averaged by a Karcher descent on the product cover: the diagonal
+    factor's log-Euclidean mean is reached in one step, and SO(m) is
+    iterative, with Newton steps on SO(3) (see `karcher_descent`).
     ``unique_up_to_G`` is True iff ``restarts`` extra solves from random
     group-translated sample lifts all land on the same group orbit within
     1e-7 (vacuously for ``restarts = 0``; a negative count is refused).

@@ -12,7 +12,7 @@ from conftest import (
     sample_ball,
     sphere_grid_argmin,
 )
-from riemmean import frechet
+from riemmean import frechet, manifolds
 from riemmean.errors import (
     CutLocusError,
     InvalidInputError,
@@ -34,16 +34,19 @@ from riemmean.frechet import (
     karcher_descent,
     objective,
 )
+from riemmean.core import rotation_exp
 from riemmean.manifolds import (
     CUT_TOL,
     DiagPos,
     Euclidean,
+    Manifold,
     Product,
     Sphere,
     SpecialOrthogonal,
     Tangent,
+    parse_manifold,
 )
-from riemmean.numdiff import fd_gradient
+from riemmean.numdiff import fd_gradient, fd_hessian
 from riemmean.spd import cover_manifold
 
 
@@ -307,6 +310,159 @@ def test_karcher_descent_monotone_objective(monkeypatch):
         assert np.all(diffs <= 1e-14 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
+def descent_with_mean_log_steps(Q, p0):
+    """`karcher_descent` with the mean log as the step on every kind, as
+    it ran before SO(3) took Newton steps.  Returns the coordinates of every
+    state it formed, in order, and the iteration count."""
+    m = Q.manifold
+
+    def state(coords):
+        mean, f = m._log_mean(coords, Q.coord_stack, CUT_TOL)
+        return mean, f, math.sqrt(max(m._inner(coords, mean, mean), 0.0))
+
+    coords = p0.coords
+    formed = [coords]
+    direction, f, g = state(coords)
+    iterations = 0
+    while g >= frechet.DEFAULT_TOL:
+        assert iterations < frechet.MAX_ITER
+        slack = 1e-14 * max(1.0, abs(f))
+        s = frechet.STEP
+        while True:
+            assert s > 1e-17
+            cand = m._exp(coords, s * direction)
+            formed.append(cand)
+            cand_dir, cand_f, cand_g = state(cand)
+            if cand_f <= f + slack:
+                coords, direction, f, g = cand, cand_dir, cand_f, cand_g
+                iterations += 1
+                break
+            s *= 0.5
+    return formed, iterations
+
+
+def descent_states(Q, p0):
+    """`karcher_descent` from ``p0`` and the coordinates of every state it
+    formed, in order."""
+    formed = []
+    descent_state = frechet._descent_state
+
+    def record_state(m, Q, coords):
+        formed.append(coords)
+        return descent_state(m, Q, coords)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frechet, "_descent_state", record_state)
+        res = karcher_descent(Q, p0)
+    return res, formed
+
+
+MEAN_LOG_STEP_KINDS = {
+    m.manifold_id: m
+    for m in [
+        Sphere(2),
+        SpecialOrthogonal(2),
+        Euclidean(3),
+        DiagPos(3),
+        cover_manifold(2),
+    ]
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    name=st.sampled_from(sorted(MEAN_LOG_STEP_KINDS)),
+    size=st.integers(min_value=1, max_value=6),
+    spread=st.sampled_from([0.3, 0.9]),
+)
+def test_mean_log_step_kinds_descend_as_before(seed, name, size, spread):
+    """Every kind but SO(3) still steps along the mean log: the descent
+    forms bit for bit the states of the loop written out with that step,
+    and takes as many iterations."""
+    m = MEAN_LOG_STEP_KINDS[name]
+    rng = np.random.Generator(np.random.Philox(key=[0x57E9, seed]))
+    center = m.random_point(rng)
+    radius = spread * min(m.constants.r_cx, 2.0)
+    pts = tuple(sample_ball(m, center, radius, rng) for _ in range(size))
+    Q = Configuration(m, pts)
+    res, formed = descent_states(Q, pts[0])
+    want, iterations = descent_with_mean_log_steps(Q, pts[0])
+    assert res.iterations == iterations
+    assert len(formed) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(formed, want))
+    assert np.array_equal(res.minimizer.coords, want[-1])
+
+
+@pytest.mark.parametrize("k", [0.25, 1.0, 4.0])
+def test_so3_step_solves_the_newton_equation(k):
+    """The SO(3) step ``d`` solves ``Hess(f / 2) d = Y_Q`` with the
+    Hessian from `numdiff.fd_hessian`, in the same orthonormal tangent
+    basis, to 1e-8 relative to ``|d|``; its objective and gradient are
+    those of `_log_mean`, bit for bit."""
+    so = SpecialOrthogonal(3, k)
+    rng = rng_for(77)
+    for _ in range(3):
+        c = so.random_point(rng)
+        pts = tuple(sample_ball(so, c, 0.6 * so.constants.r_cx, rng) for _ in range(5))
+        Q = Configuration(so, pts)
+        p = so.exp(c, random_tangent(so, c, rng, scale=0.2 * so.constants.r_cx))
+        step, f, mean = so._karcher_step(p.coords, Q.coord_stack, CUT_TOL)
+        want_mean, want_f = so._log_mean(p.coords, Q.coord_stack, CUT_TOL)
+        assert np.array_equal(mean, want_mean) and f == want_f
+        basis = so.tangent_basis(p)
+        # steps of 1e-3 in distance: smaller ones lose digits to rounding
+        H = fd_hessian(so, lambda x: 0.5 * objective(Q, x), p, h=1e-3 * math.sqrt(k))
+        g = np.array([so._inner(p.coords, mean, e.vec) for e in basis])
+        newton = sum(di * e.vec for di, e in zip(np.linalg.solve(H, g), basis))
+        err = so.norm(p, Tangent(p, newton - step))
+        assert err <= 1e-8 * so.norm(p, Tangent(p, step))
+
+
+def rim_points(manifold, center, rng, count, frac=0.75):
+    """``count`` points on the sphere of radius ``frac * r_cx`` around
+    ``center``; on a product, that sphere in each factor."""
+    if isinstance(manifold, Product):
+        parts = [
+            rim_points(f, f.point(c), rng, count, frac)
+            for f, c in zip(manifold.factors, manifold.split(center.coords))
+        ]
+        return tuple(
+            manifold.point(manifold.join([q.coords for q in qs])) for qs in zip(*parts)
+        )
+    radius = frac * min(manifold.constants.r_cx, 2.0)
+    return tuple(
+        manifold.exp(center, random_tangent(manifold, center, rng, scale=radius))
+        for _ in range(count)
+    )
+
+
+@pytest.mark.parametrize(
+    "manifold",
+    [
+        SpecialOrthogonal(3, 0.25),
+        SpecialOrthogonal(3, 1.0),
+        SpecialOrthogonal(3, 4.0),
+        cover_manifold(3),
+    ],
+    ids=lambda m: m.manifold_id,
+)
+def test_newton_steps_converge_in_few_iterations(manifold):
+    """Ten points at distance ``0.75 r_cx`` from a centre (on the cover, in
+    each factor): from the first of them, the descent with Newton steps on
+    SO(3) converges in at most 4 iterations, without backtracking, where the
+    mean-log steps take at least 7; both reach the same minimizer."""
+    rng = rng_for(78)
+    for _ in range(3):
+        pts = rim_points(manifold, manifold.random_point(rng), rng, 10)
+        Q = Configuration(manifold, pts)
+        res, formed = descent_states(Q, pts[0])
+        want, iterations = descent_with_mean_log_steps(Q, pts[0])
+        assert res.iterations <= 4 < 7 <= iterations
+        assert len(formed) == res.iterations + 1
+        assert manifold._dist(res.minimizer.coords, want[-1]) < 1e-9
+
+
 # -- frechet_mean ----------------------------------------------------------------
 
 
@@ -507,6 +663,17 @@ def certificate_before_the_diameter_exit(Q, margin=1e-9):
     return best_radius < r_cx - margin, best_coords, best_radius
 
 
+def lower_bound(Q, target=math.inf):
+    """`_enclosing_radius_bound` of the data distances, formed as
+    `afsari_certificate` forms them."""
+    stack = Q.coord_stack
+    rows = np.stack([Q.manifold._dist_block(q.coords, stack) for q in Q.points])
+    D2 = np.square(rows)
+    D2 = np.maximum(D2, D2.T)
+    np.fill_diagonal(D2, 0.0)
+    return frechet._enclosing_radius_bound(D2, target)
+
+
 def far_point(manifold, p):
     """A point at distance r_inj from ``p``: on the cut locus of ``p``."""
     if isinstance(manifold, Sphere):
@@ -525,9 +692,9 @@ def far_point(manifold, p):
 def test_certificate_flag_matches_the_loop_without_a_lower_bound(
     seed, kind, size, spread, add_far_point
 ):
-    """The diameter exit changes no ``certified`` flag.  Where it fires, the
-    certificate reports the best data point and a radius of at least half
-    the diameter; elsewhere it reports what the full loop reports."""
+    """The lower-bound exit changes no ``certified`` flag.  Where it fires,
+    the certificate reports the best data point and a radius of at least
+    the bound; elsewhere it reports what the full loop reports."""
     manifold = {
         "sphere": Sphere(2),
         "so3": SpecialOrthogonal(3),
@@ -545,11 +712,11 @@ def test_certificate_flag_matches_the_loop_without_a_lower_bound(
     flag, center_coords, ref_radius = certificate_before_the_diameter_exit(Q)
     assert cert.certified == flag
     radii = [float(np.max(manifold._dist_block(q.coords, Q.coord_stack))) for q in pts]
-    diam = max(radii)
-    if not cert.certified and diam / 2 >= manifold.constants.r_cx - 0.5e-9:
+    bound = lower_bound(Q, manifold.constants.r_cx - 0.5e-9)
+    if not cert.certified and bound >= manifold.constants.r_cx - 0.5e-9:
         assert any(np.array_equal(cert.center.coords, q.coords) for q in pts)
         assert cert.radius == min(radii)
-        assert cert.radius >= diam / 2
+        assert cert.radius >= bound
     else:
         assert np.array_equal(cert.center.coords, center_coords)
         assert cert.radius == ref_radius
@@ -611,6 +778,123 @@ def test_certificate_loop_starts_from_the_first_pass_row(rho, monkeypatch):
     assert cert.certified == (rho < 1.5)
     assert calls["exp"] > 0
     assert calls["dist"] == len(pts) + calls["exp"]
+
+
+BOUND_KINDS = {
+    m.manifold_id: m
+    for m in [
+        Sphere(2),
+        SpecialOrthogonal(3, 0.25),
+        SpecialOrthogonal(3, 1.0),
+        SpecialOrthogonal(3, 4.0),
+        cover_manifold(2),
+        cover_manifold(3),
+        parse_manifold("product(sphere:2;euclidean:2)"),
+    ]
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    name=st.sampled_from(sorted(BOUND_KINDS)),
+    size=st.integers(min_value=2, max_value=8),
+    spread=st.sampled_from([None, 0.3, 0.9, 1.0, 1.1, 1.5, 2.0]),
+)
+def test_lower_bound_never_exceeds_an_enclosing_radius(seed, name, size, spread):
+    """Data in a ball of radius ``spread * r_cx``, or anywhere (``spread``
+    None): the bound is at least half the diameter, and at most every data
+    point's farthest distance and the certificate's radius, the farthest
+    distance from its centre, certified or not (up to rounding)."""
+    manifold = BOUND_KINDS[name]
+    rng = np.random.Generator(np.random.Philox(key=[0xB0B0, seed]))
+    center = manifold.random_point(rng)
+    if spread is None:
+        pts = tuple(manifold.random_point(rng) for _ in range(size))
+    else:
+        radius = spread * manifold.constants.r_cx
+        pts = tuple(sample_ball(manifold, center, radius, rng) for _ in range(size))
+    Q = Configuration(manifold, pts)
+    bound = lower_bound(Q)
+    radii = [float(np.max(manifold._dist_block(q.coords, Q.coord_stack))) for q in pts]
+    cert = afsari_certificate(Q)
+    assert bound >= max(radii) / 2 * (1 - 1e-14)
+    assert bound <= min(radii) + 1e-12
+    assert bound <= cert.radius + 1e-12
+
+
+def axis_rotations(so, angle):
+    """Rotations by ``angle`` about the three coordinate axes: equidistant,
+    since a cyclic shift of the axes is an isometry permuting them."""
+    return tuple(
+        so.point(rotation_exp(angle * np.cross(np.eye(3), axis))) for axis in np.eye(3)
+    )
+
+
+@pytest.mark.parametrize("k", [0.25, 1.0, 4.0])
+def test_lower_bound_closed_forms(k):
+    """Two points give half their distance; an equilateral triple of side d
+    gives d / sqrt(3), and the regular tetrahedron on S^2 d sqrt(3/8), with
+    d = arccos(-1/3): the bound at uniform weights, its maximum there."""
+    so = SpecialOrthogonal(3, k)
+    rng = rng_for(79)
+    p, q = so.random_point(rng), so.random_point(rng)
+    pair = Configuration(so, (p, q))
+    d = max(float(so._dist_block(a.coords, pair.coord_stack).max()) for a in (p, q))
+    assert lower_bound(pair) == d / 2
+    for angle in (1.0, 2.5):
+        triple = axis_rotations(so, angle)
+        sides = [so.dist(triple[i], triple[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
+        assert max(sides) - min(sides) <= 1e-12
+        assert lower_bound(Configuration(so, triple)) == pytest.approx(
+            sides[0] / math.sqrt(3), rel=1e-12
+        )
+    sphere, tet = tetrahedron()
+    assert lower_bound(Configuration(sphere, tet)) == pytest.approx(
+        math.acos(-1.0 / 3.0) * math.sqrt(3.0 / 8.0), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("k", [0.25, 1.0, 4.0])
+def test_lower_bound_decides_what_the_diameter_cannot(k, monkeypatch):
+    """An equilateral triple on SO(3) of side d = 2.94 sqrt(k): no data
+    point certifies (d > r_cx = sqrt(k) pi / 2), and half the diameter is
+    below r_cx, so the diameter decides nothing.  The bound d / sqrt(3)
+    exceeds r_cx: the certificate answers False without a refinement
+    step, with the best data point and its farthest distance."""
+    so = SpecialOrthogonal(3, k)
+    triple = axis_rotations(so, 2.5)
+    Q = Configuration(so, triple)
+    r_cx = so.constants.r_cx
+    d = so.dist(triple[0], triple[1])
+    assert d / 2 < r_cx < d / math.sqrt(3) and d > r_cx
+    steps = []
+    exp = SpecialOrthogonal._exp
+
+    def counting_exp(self, coords, v):
+        steps.append(1)
+        return exp(self, coords, v)
+
+    monkeypatch.setattr(SpecialOrthogonal, "_exp", counting_exp)
+    cert = afsari_certificate(Q)
+    assert not cert.certified
+    assert steps == []
+    assert cert.center is triple[0]
+    assert cert.radius == pytest.approx(d, rel=1e-12)
+
+
+def test_every_manifold_kind_has_nonnegative_curvature():
+    """The lower bound holds only under sectional curvature >= 0: every
+    concrete kind of `riemmean.manifolds` must be on the list kept next to
+    it, so a new kind fails here until the bound is reconsidered for it."""
+    kinds = [
+        c
+        for c in vars(manifolds).values()
+        if isinstance(c, type) and issubclass(c, Manifold) and c is not Manifold
+    ]
+    assert kinds
+    for kind in kinds:
+        assert kind in frechet.CURVATURE_NONNEGATIVE, kind.__name__
 
 
 def tetrahedron():
