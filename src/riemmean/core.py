@@ -193,6 +193,32 @@ def _frame_log(ratio: np.ndarray, W: np.ndarray, AW: np.ndarray) -> np.ndarray:
     return 0.5 * (X - np.swapaxes(X, -1, -2))
 
 
+def _wide_angle_logs(R: np.ndarray, theta: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Logs of a ``(K, 3, 3)`` stack of rotations by angles ``theta`` with
+    cos(theta) < 0, and their skew parts ``A``.
+
+    The skew part is ``sin(theta) hat(n)`` for the unit axis ``n``, so its
+    relative rounding grows like 1 / sin(theta) near pi.  The symmetric part
+    ``S = cos(theta) I + (1 - cos(theta)) n n^T`` gives
+    ``n n^T = (S - cos(theta) I) / (1 - cos(theta))`` with a denominator
+    above 1 here; its column of largest diagonal entry is ``n`` up to scale
+    and sign, and the sign is the one along the skew part's axis.
+    """
+    cosines = 0.5 * (np.trace(R, axis1=-2, axis2=-1) - 1.0)
+    S = 0.5 * (R + np.swapaxes(R, -1, -2))
+    N = (S - cosines[:, None, None] * np.eye(3)) / (1.0 - cosines)[:, None, None]
+    j = np.argmax(np.diagonal(N, axis1=-2, axis2=-1), axis=-1)
+    n = N[np.arange(len(N)), :, j]
+    # the axis of hat(x) sits at the entries (2, 1), (0, 2) and (1, 0)
+    along = (n * np.stack([A[:, 2, 1], A[:, 0, 2], A[:, 1, 0]], axis=-1)).sum(axis=-1)
+    scale = np.where(along < 0.0, -theta, theta) / np.hypot.reduce(n, axis=-1)
+    x0, x1, x2 = (n * scale[:, None]).T
+    X = np.zeros_like(R)
+    X[:, 2, 1], X[:, 0, 2], X[:, 1, 0] = x0, x1, x2
+    X[:, 1, 2], X[:, 2, 0], X[:, 0, 1] = -x0, -x1, -x2
+    return X
+
+
 def rotation_log(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Principal matrix logarithm of ``R`` in SO(m), as a skew matrix; a
     ``(..., m, m)`` stack gives the stack of logs.
@@ -200,14 +226,22 @@ def rotation_log(R: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     Raises `CutLocusError` when some rotation angle is within ``tol`` of pi:
     there the principal log is not unique (or not defined) and the formulas
     below lose the plane's orientation.  For m <= 3 the log is the skew
-    part scaled to norm ``theta`` (`plane_angle`); larger m scale the skew
-    action on each eigenvector of `angle_frame` to length ``theta``.
+    part scaled to norm ``theta`` (`plane_angle`), except for the SO(3)
+    rotations with cos(theta) < 0, whose axis `_wide_angle_logs` reads from
+    the symmetric part; larger m scale the skew action on each eigenvector
+    of `angle_frame` to length ``theta``.
     """
     R = np.asarray(R, dtype=float)
     if _one_plane(R):
         theta, sines, A = plane_angle(R)
         _refuse_pi(theta, tol)
-        return A * (theta / np.maximum(sines, 1e-300))[..., None, None]
+        X = A * (theta / np.maximum(sines, 1e-300))[..., None, None]
+        if R.shape[-1] == 3:
+            # theta > pi/2 iff cos(theta) < 0, since sines >= 0
+            wide = theta > 0.5 * math.pi
+            if wide.any():
+                X[wide] = _wide_angle_logs(R[wide], theta[wide], A[wide])
+        return X
     theta, sines, W, AW = angle_frame(R)
     _refuse_pi(theta, tol)
     return _frame_log(theta / np.maximum(sines, 1e-300), W, AW)

@@ -47,29 +47,32 @@ from it
   with their squared norms under `_inner`, refusing iff some row does.
 
 So a point is in the cut locus iff its log refuses, and the block's rows are
-the per-point logs, by construction.  Only the sphere keeps its own
-``_log_block``, on the helper its ``_log_mean`` shares.  ``_log_mean``
-refuses exactly when some row is within ``tol`` of the cut locus.  The
-solvers need only means, so the gradient field and the barycenter check
-call ``_log_mean``, and the Karcher descent states ``_karcher_step``; no
-solver calls ``_log_block``.  Every minimum over a group orbit and the
-concentration certificate call ``_dist_block``.  SO(m) forms all relative
-rotations of a stack with one broadcast matmul and reads their angles in
-closed form for m <= 3, where each turns a single plane, or from one
-batched ``eigh`` for m >= 4 (its per-point ``_log`` and ``_dist`` are
-blocks of one); its mean log is one matmul of ``p`` with the mean skew log.
+the per-point logs, by construction.  ``_log_mean`` refuses exactly when
+some row is within ``tol`` of the cut locus.  The solvers need only means,
+so the gradient field and the barycenter check call ``_log_mean``, and the
+Karcher descent states ``_karcher_step``; no solver calls ``_log_block``.
+Every minimum over a group orbit and the concentration certificate call
+``_dist_block``.  SO(m) forms all relative rotations of a stack with one
+broadcast matmul and reads their angles in closed form for m <= 3, where
+each turns a single plane, or from one batched ``eigh`` for m >= 4 (its
+per-point ``_log`` and ``_dist`` are blocks of one); its mean log is one
+matmul of ``p`` with the mean skew log.
 Products slice the stack's column ranges into factor blocks, and join the
 factor means and add the factor objectives.  This is the leading-batch-axis
 vectorization of Geomstats (Miolane et al., JMLR 2020).
 
 The sphere's kernels run on a few short rows (a C9 descent state is a 5 x 3
-stack), where numpy's per-call overhead costs more than the arithmetic, so
-they use the cheapest call forms: ``ndarray.dot`` instead of ``@`` /
-``np.dot`` (the same product, bit for bit), and in the block one
-``np.hypot.reduce`` per row norm instead of ``einsum`` plus ``sqrt`` (one
-ufunc call, scaled against overflow and underflow).  The per-point kernels
-keep their rounding, which `frechet.objective` ranks the multistart seeds
-by; the block's rows agree with them within rounding, not bit for bit.
+stack), where numpy's per-call overhead costs more than the arithmetic.  So
+on S^2 they run on Python floats: one row routine, ``Sphere._row``, forms a
+row's angle and off-``p`` components from six floats and refuses near the
+antipode, and the per-point ``_dist`` and ``_log``, ``_dist_block`` and
+``_log_mean`` / ``_karcher_step`` (one ``tolist`` of the stack, one
+ndarray out) are built on it, with ``_exp`` in floats too.  A block's rows
+are then the per-point values bit for bit, and a block refuses exactly
+when some row's ``_log`` does.  Spheres of other dimensions keep numpy
+kernels: ``ndarray.dot`` for the per-point dot products, and one
+``np.hypot.reduce`` per row norm in the blocks, whose rows agree with the
+per-point values within rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -359,18 +362,26 @@ class Euclidean(Manifold):
         return np.linalg.norm(stack - p, axis=1)
 
 
+def _log_scale(theta: float) -> float:
+    """The S^2 log's factor on ``w``: ``theta / sin(theta)``, and 0 below
+    1e-16, where ``w`` is rounding and the log is zero."""
+    return 0.0 if theta < 1e-16 else theta / math.sin(theta)
+
+
 class Sphere(Manifold):
     """Unit n-sphere in R^(n+1).
 
     Closed forms: ``exp_p(v) = cos|v| p + sin|v| v/|v|``; the log of ``q`` at
-    ``p`` points along the projection of ``q`` off ``p`` with length
-    ``arccos <p, q>``.  The cut locus of ``p`` is the antipode ``-p``.
+    ``p`` points along the projection ``w = q - <p, q> p`` of ``q`` off
+    ``p`` with length ``theta = atan2(|w|, <p, q>)``.  The cut locus of
+    ``p`` is the antipode ``-p``.
 
-    Dot products are ``ndarray.dot`` calls, bitwise the ``@`` / ``np.dot``
-    forms with less overhead on a few entries.  `_angles_block` takes each
-    row's off-``p`` norm with one ``np.hypot.reduce``; the per-point `_dist`
-    and `_log` read it as ``sqrt(w.dot(w))`` after clamping the cosine, so
-    block rows and per-point values may differ in the last bits.
+    On S^2 (n == 2) every kernel but `_inner` runs on Python floats, and
+    `_dist`, `_log` and the blocks are built on the one row routine `_row`.
+    Other n use numpy: the per-point kernels clamp the cosine and read
+    ``sqrt(w.dot(w))``, the blocks take each row norm with one
+    ``np.hypot.reduce``, so there block rows and per-point values may
+    differ in the last bits.
     """
 
     def __init__(self, n: int):
@@ -395,13 +406,42 @@ class Sphere(Manifold):
         if abs(np.dot(base.coords, vec)) > POINT_TOL * max(1.0, np.linalg.norm(vec)):
             raise InvalidInputError("vector is not tangent to the sphere")
 
+    def _row(self, p0, p1, p2, q0, q1, q2, tol=None):
+        """The one S^2 row kernel: ``(theta, w0, w1, w2)``, the angle from
+        ``p`` to ``q`` and the components of ``w = q - <p, q> p``, on six
+        Python floats.  With a ``tol``, refuses `CutLocusError` when
+        ``theta > pi - tol``, the sphere's one cut-locus rule."""
+        c = p0 * q0 + p1 * q1 + p2 * q2
+        w0 = q0 - c * p0
+        w1 = q1 - c * p1
+        w2 = q2 - c * p2
+        theta = math.atan2(math.hypot(w0, w1, w2), c)
+        if tol is not None and theta > math.pi - tol:
+            raise CutLocusError("antipodal points: sphere log undefined")
+        return theta, w0, w1, w2
+
     def _exp(self, p, v):
+        if self.n == 2:
+            p0, p1, p2 = p.tolist()
+            v0, v1, v2 = v.tolist()
+            theta = math.hypot(v0, v1, v2)
+            sinc = 1.0 if theta < 1e-12 else math.sin(theta) / theta
+            cos = math.cos(theta)
+            o0 = cos * p0 + sinc * v0
+            o1 = cos * p1 + sinc * v1
+            o2 = cos * p2 + sinc * v2
+            norm = math.hypot(o0, o1, o2)
+            return np.array([o0 / norm, o1 / norm, o2 / norm])
         theta = math.sqrt(v.dot(v))
         sinc = 1.0 if theta < 1e-12 else math.sin(theta) / theta
         out = math.cos(theta) * p + sinc * v
         return out / math.sqrt(out.dot(out))
 
     def _log(self, p, q, tol):
+        if self.n == 2:
+            theta, w0, w1, w2 = self._row(*p.tolist(), *q.tolist(), tol)
+            r = _log_scale(theta)
+            return np.array([r * w0, r * w1, r * w2])
         c = max(-1.0, min(1.0, float(p.dot(q))))
         w = q - c * p
         theta = math.atan2(math.sqrt(w.dot(w)), c)
@@ -412,6 +452,8 @@ class Sphere(Manifold):
         return (theta / math.sin(theta)) * w
 
     def _dist(self, p, q):
+        if self.n == 2:
+            return self._row(*p.tolist(), *q.tolist())[0]
         c = max(-1.0, min(1.0, float(p.dot(q))))
         w = q - c * p
         return math.atan2(math.sqrt(w.dot(w)), c)
@@ -431,9 +473,23 @@ class Sphere(Manifold):
         w = stack - np.multiply.outer(c, p)
         return np.arctan2(np.hypot.reduce(w, axis=1), c), w
 
-    def _log_parts(self, p, stack, tol):
-        # angles, log scale factors and off-p components of the stack's rows:
-        # row k's log is ratio[k] * w[k] and its squared norm theta[k]**2
+    # the base class's mean-log step, formed without its extra call level:
+    # a C9 trial forms about a thousand descent states
+    def _karcher_step(self, p, stack, tol):
+        if self.n == 2:
+            p0, p1, p2 = p.tolist()
+            rows = stack.tolist()
+            s0 = s1 = s2 = sq = 0.0
+            for q0, q1, q2 in rows:
+                theta, w0, w1, w2 = self._row(p0, p1, p2, q0, q1, q2, tol)
+                r = _log_scale(theta)
+                s0 += r * w0
+                s1 += r * w1
+                s2 += r * w2
+                sq += theta * theta
+            n = len(rows)
+            mean = np.array([s0 / n, s1 / n, s2 / n])
+            return mean, sq / n, mean
         theta, w = self._angles_block(p, stack)
         # the ufunc reduction itself, without ndarray.max's Python wrapper
         if np.maximum.reduce(theta) > math.pi - tol:
@@ -441,19 +497,6 @@ class Sphere(Manifold):
         # theta/sin(theta) is stable away from pi; at theta ~ 0 the factor is
         # irrelevant because w ~ 0
         ratio = theta / np.maximum(np.sin(theta), 1e-300)
-        return theta, ratio, w
-
-    # the sphere keeps its own block: its rows come from the `_log_parts`
-    # that `_log_mean` shares, and near the antipode they round differently
-    # from the per-point `_log`
-    def _log_block(self, p, stack, tol):
-        theta, ratio, w = self._log_parts(p, stack, tol)
-        return ratio[:, None] * w, theta * theta
-
-    # the base class's mean-log step, formed without its extra call level:
-    # a C9 trial forms about a thousand descent states
-    def _karcher_step(self, p, stack, tol):
-        theta, ratio, w = self._log_parts(p, stack, tol)
         n = len(theta)
         # ndarray.dot is the same product as @ (bit for bit) with less
         # per-call overhead on these few rows
@@ -465,6 +508,11 @@ class Sphere(Manifold):
         return mean, mean_sq
 
     def _dist_block(self, p, stack):
+        if self.n == 2:
+            p0, p1, p2 = p.tolist()
+            return np.array(
+                [self._row(p0, p1, p2, q0, q1, q2)[0] for q0, q1, q2 in stack.tolist()]
+            )
         return self._angles_block(p, stack)[0]
 
 

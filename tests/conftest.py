@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 from riemmean import spd
+from riemmean.errors import CutLocusError
 from riemmean.manifolds import Manifold, Point, Tangent
 
 # C3's bound on the barycenter residual of a converged mean
 BARYCENTER_TOL = 1e-9
+# agreement of two kernels that round differently, on well-conditioned values
+PARITY_TOL = 1e-12
 
 
 @pytest.fixture(autouse=True)
@@ -134,6 +137,33 @@ def random_tangent(manifold: Manifold, p: Point, rng, scale: float = 1.0) -> Tan
     vec = manifold.project(p, ambient)
     norm = math.sqrt(max(manifold._inner(p.coords, vec, vec), 0.0))
     return Tangent(p, vec * (scale / max(norm, 1e-300)))
+
+
+def sphere_angles_with_einsum(p, stack):
+    """The sphere's angle block as first written: ``stack @ p`` and the row
+    norms as ``sqrt(einsum)``; returns the angles and the off-``p`` rows."""
+    c = stack @ p
+    w = stack - c[:, None] * p
+    wn = np.sqrt(np.einsum("ij,ij->i", w, w))
+    return np.arctan2(wn, c), w
+
+
+def sphere_log_mean_with_einsum(p, stack, tol):
+    """The sphere's ``_log_mean`` over `sphere_angles_with_einsum`."""
+    theta, w = sphere_angles_with_einsum(p, stack)
+    if float(theta.max()) > math.pi - tol:
+        raise CutLocusError("antipodal points: sphere log undefined")
+    ratio = theta / np.maximum(np.sin(theta), 1e-300)
+    n = len(theta)
+    return ratio.dot(w) / n, float(theta.dot(theta)) / n
+
+
+def sphere_log_condition(theta) -> float:
+    """The largest theta / sin(theta) over the angles, at least 1: the
+    condition number of the sphere's log near the antipode, where a
+    last-bit change of the data moves the log by that factor."""
+    theta = np.asarray(theta, dtype=float)
+    return max(1.0, float(np.max(theta / np.maximum(np.sin(theta), 1e-300))))
 
 
 def manifold_zoo():

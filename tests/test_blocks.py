@@ -2,11 +2,11 @@
 
 Every manifold kind has three batched kernels: ``_dist_block``,
 ``_log_block`` (the logs as rows) and ``_log_mean`` (only their mean and
-mean squared norm).  The base class derives ``_log_block`` (except on the
-sphere) and the cut-locus predicate from the per-point ``_log``; the
-solvers and the orbit scans use only ``_dist_block`` and ``_log_mean``.
-Here each row of a block must agree with the per-point kernel, cut-locus
-refusals included, a point must be in the cut locus iff its log refuses,
+mean squared norm).  The base class derives ``_log_block`` and the
+cut-locus predicate from the per-point ``_log``; the solvers and the orbit
+scans use only ``_dist_block`` and ``_log_mean``.  Here each row of a block
+must agree with the per-point kernel, cut-locus refusals included (on S^2
+bit for bit), a point must be in the cut locus iff its log refuses,
 ``_log_mean`` must agree with the mean of the block's rows and refuse
 exactly when the block does, `barycenter_check` must agree with a
 point-by-point loop, and the stacked orbit scan must keep the lowest-index
@@ -20,6 +20,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    PARITY_TOL,
+    sphere_angles_with_einsum,
+    sphere_log_condition,
+    sphere_log_mean_with_einsum,
+)
 from riemmean.core import rotation_exp
 from riemmean.equivariant import _scan_orbits
 from riemmean.errors import CutLocusError
@@ -39,7 +45,6 @@ from riemmean.spd import (
     sample_spd,
 )
 
-PARITY_TOL = 1e-12
 # offsets below pi of a relative rotation angle: inside, at and around the
 # cut-locus margin CUT_TOL, and well clear of it
 NEAR_PI = [0.0, 1e-12, 1e-9, 0.5 * CUT_TOL, 2.0 * CUT_TOL, 1e-6, 1e-3]
@@ -214,10 +219,10 @@ def test_in_cut_locus_iff_log_refuses(seed, kind, m, k, offset):
         assert refused == (offset * scale < 1.0)
 
 
-def check_mean_parity(manifold, p, stack, tol):
+def check_mean_parity(manifold, p, stack, tol, condition=1.0):
     """`_log_mean` is the mean of the `_log_block` rows and of their squared
-    norms, within PARITY_TOL relative to the largest row entry (at least
-    1); it refuses iff the block does."""
+    norms, within PARITY_TOL times ``condition`` relative to the largest
+    row entry (at least 1); it refuses iff the block does."""
     try:
         vecs, sq = manifold._log_block(p, stack, tol)
     except CutLocusError:
@@ -227,9 +232,9 @@ def check_mean_parity(manifold, p, stack, tol):
     mean, mean_sq = manifold._log_mean(p, stack, tol)
     assert mean.shape == p.shape
     scale = max(1.0, float(np.max(np.abs(vecs))))
-    assert np.max(np.abs(mean - vecs.mean(axis=0))) <= PARITY_TOL * scale
+    assert np.max(np.abs(mean - vecs.mean(axis=0))) <= PARITY_TOL * condition * scale
     assert isinstance(mean_sq, float)
-    assert abs(mean_sq - sq.mean()) <= PARITY_TOL * max(1.0, sq.mean())
+    assert abs(mean_sq - sq.mean()) <= PARITY_TOL * condition * max(1.0, sq.mean())
 
 
 near_pi_rows = st.lists(
@@ -245,8 +250,14 @@ near_pi_rows = st.lists(
     near_pi=near_pi_rows,
 )
 def test_sphere_log_mean_matches_block(seed, n, size, near_pi):
+    """The block's rows are the per-point logs.  Off S^2 the mean is formed
+    by numpy's block arithmetic, whose rounding differs from theirs; near
+    the antipode the log's condition number theta / sin(theta) scales that
+    difference (see `test_barycenter_check_matches_the_per_point_loop`)."""
+    sphere = Sphere(n)
     p, stack = sphere_stack(rng_of(seed), n, size, near_pi)
-    check_mean_parity(Sphere(n), p, stack, CUT_TOL)
+    condition = sphere_log_condition(sphere._dist_block(p, stack))
+    check_mean_parity(sphere, p, stack, CUT_TOL, condition)
 
 
 @settings(max_examples=80, deadline=None)
@@ -289,25 +300,6 @@ def test_flat_log_means_match_blocks(seed, n, size, scale):
     check_mean_parity(DiagPos(n), positive[0], positive[1:], CUT_TOL)
 
 
-def sphere_angles_with_einsum(p, stack):
-    """`Sphere._angles_block` as first written: ``stack @ p`` and the row
-    norms as ``sqrt(einsum)``."""
-    c = stack @ p
-    w = stack - c[:, None] * p
-    wn = np.sqrt(np.einsum("ij,ij->i", w, w))
-    return np.arctan2(wn, c), w
-
-
-def sphere_log_mean_with_einsum(p, stack, tol):
-    """`Sphere._log_mean` over `sphere_angles_with_einsum`."""
-    theta, w = sphere_angles_with_einsum(p, stack)
-    if float(theta.max()) > math.pi - tol:
-        raise CutLocusError("antipodal points: sphere log undefined")
-    ratio = theta / np.maximum(np.sin(theta), 1e-300)
-    n = len(theta)
-    return ratio.dot(w) / n, float(theta.dot(theta)) / n
-
-
 def sphere_stack_with_close_rows(rng, n, size, near_pi, close):
     """`sphere_stack` plus rows equal to the base (angle 0) or at angle
     1e-9 from it, at the indices listed in ``close``."""
@@ -331,16 +323,58 @@ close_rows = st.lists(st.tuples(st.integers(0, 6), st.sampled_from([0.0, 1e-9]))
     close=close_rows,
 )
 def test_sphere_dist_block_rows_match_per_point_dist(seed, n, size, near_pi, close):
-    """The block reads each row's norm with one `np.hypot` reduction and
-    the per-point `_dist` with ``sqrt(w.dot(w))`` after a clamp; distances
-    are well conditioned everywhere, so the rows agree within PARITY_TOL,
-    for identical rows, rows 1e-9 apart and rows next to the antipode."""
+    """Off S^2 the block reads each row's norm with one `np.hypot`
+    reduction and the per-point `_dist` with ``sqrt(w.dot(w))`` after a
+    clamp; distances are well conditioned everywhere, so the rows agree
+    within PARITY_TOL, for identical rows, rows 1e-9 apart and rows next to
+    the antipode.  (On S^2 they are equal: `test_s2_blocks_are_their_rows`.)"""
     sphere = Sphere(n)
     p, stack = sphere_stack_with_close_rows(rng_of(seed), n, size, near_pi, close)
     dists = sphere._dist_block(p, stack)
     assert dists.shape == (size,)
     for d, q in zip(dists, stack):
         assert abs(d - sphere._dist(p, q)) <= PARITY_TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=seeds,
+    size=st.integers(min_value=1, max_value=7),
+    near_pi=near_pi_rows,
+    close=close_rows,
+)
+def test_s2_blocks_are_their_rows(seed, size, near_pi, close):
+    """On S^2 every kernel is built on the one float row routine
+    `Sphere._row`, so the blocks are their rows bit for bit: each
+    `_dist_block` entry is `_dist`, each `_log_block` row is `_log`, and
+    `_log_mean` / `_karcher_step` refuse exactly when some row's `_log`
+    does; otherwise they return the rows' mean log and mean squared
+    distance, summed in row order.  Rows include copies of the base, rows
+    1e-9 from it and rows inside, at and around the cut-locus margin."""
+    sphere = Sphere(2)
+    p, stack = sphere_stack_with_close_rows(rng_of(seed), 2, size, near_pi, close)
+    dists = sphere._dist_block(p, stack)
+    assert [float(d) for d in dists] == [sphere._dist(p, q) for q in stack]
+    for tol in (CUT_TOL, 1e-15):
+        refused = [log_refuses(sphere, p, q, tol) for q in stack]
+        if any(refused):
+            for kernel in (sphere._log_block, sphere._log_mean, sphere._karcher_step):
+                with pytest.raises(CutLocusError):
+                    kernel(p, stack, tol)
+            continue
+        rows = [sphere._log(p, q, tol) for q in stack]
+        vecs, sq = sphere._log_block(p, stack, tol)
+        assert np.array_equal(vecs, np.stack(rows))
+        assert [float(s) for s in sq] == [sphere._inner(p, v, v) for v in rows]
+        total, total_sq = rows[0], dists[0] * dists[0]
+        for v, d in zip(rows[1:], dists[1:]):
+            total, total_sq = total + v, total_sq + d * d
+        mean, mean_sq = sphere._log_mean(p, stack, tol)
+        assert np.array_equal(mean, total / size)
+        assert mean_sq == total_sq / size
+        step, step_sq, step_mean = sphere._karcher_step(p, stack, tol)
+        assert np.array_equal(step, mean) and np.array_equal(step_mean, mean)
+        assert step_sq == mean_sq
 
 
 @settings(max_examples=120, deadline=None)
@@ -352,8 +386,9 @@ def test_sphere_dist_block_rows_match_per_point_dist(seed, n, size, near_pi, clo
     close=close_rows,
 )
 def test_sphere_log_mean_refuses_where_the_einsum_kernel_did(seed, n, size, near_pi, close):
-    """The `np.hypot` row norms move the angles by rounding only: the mean
-    log refuses exactly where the ``sqrt(einsum)`` kernel refused, and its
+    """The float rows on S^2 and the `np.hypot` row norms elsewhere move
+    the angles by rounding only: the mean log refuses exactly where the
+    ``sqrt(einsum)`` kernel refused, and its
     values agree within PARITY_TOL times the log's condition number
     theta / sin(theta) (see `test_barycenter_check_matches_the_per_point_loop`)."""
     sphere = Sphere(n)
@@ -367,7 +402,7 @@ def test_sphere_log_mean_refuses_where_the_einsum_kernel_did(seed, n, size, near
             continue
         mean, mean_sq = sphere._log_mean(p, stack, tol)
         theta = sphere_angles_with_einsum(p, stack)[0]
-        condition = max(1.0, float(np.max(theta / np.maximum(np.sin(theta), 1e-300))))
+        condition = sphere_log_condition(theta)
         assert np.max(np.abs(mean - want[0])) <= PARITY_TOL * condition
         assert abs(mean_sq - want[1]) <= PARITY_TOL * max(1.0, want[1])
 
@@ -411,21 +446,13 @@ def test_barycenter_check_matches_the_per_point_loop(seed, kind, k, size, near_p
     the point-by-point loop does, also with data inside, at and around the
     cut-locus margin.
 
-    On SO(3) and the cover the batched rows are the per-point logs' own
-    arithmetic, so the residuals agree within PARITY_TOL.  On the sphere the
-    batched angles come from other (equally rounded) dot products and
-    arctangents; a row at angle theta from ``p`` scales their rounding by
-    theta / sin(theta), the condition number of the log near the antipode
-    (a last-bit change of the data moves the log by that much), so there
-    the bound is PARITY_TOL times that factor.
+    On S^2, SO(3) and the cover the batched rows are the per-point logs'
+    own arithmetic, so the residuals agree within PARITY_TOL.
     """
     rng = rng_of(seed)
-    condition = 1.0
     if kind == "sphere":
         manifold = Sphere(2)
         p, stack = sphere_stack(rng, 2, size, near_pi)
-        theta = manifold._dist_block(p, stack)
-        condition = max(1.0, float(np.max(theta / np.maximum(np.sin(theta), 1e-300))))
     elif kind == "so":
         manifold = SpecialOrthogonal(3, k)
         p, stack = so_stack(rng, 3, size, near_pi)
@@ -438,7 +465,7 @@ def test_barycenter_check_matches_the_per_point_loop(seed, kind, k, size, near_p
     assert (got is None) == (want is None)
     if got is not None:
         assert got[1] == want[1]
-        assert abs(got[0] - want[0]) <= PARITY_TOL * condition
+        assert abs(got[0] - want[0]) <= PARITY_TOL
 
 
 def test_scan_orbits_lowest_index_on_exact_ties():
