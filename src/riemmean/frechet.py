@@ -144,22 +144,23 @@ def gradient_field(Q: Configuration, p: Point) -> Tangent:
     return Tangent(p, _frozen(mean))
 
 
-def _descent_state(m: Manifold, Q: Configuration, coords: np.ndarray):
+def _descent_state(m: Manifold, data, coords):
     """The descent state at ``coords``: step direction, objective and
-    gradient norm.
+    gradient norm, from the kind's `_descent_step` over ``data``.
 
-    One pass of the kind's `_karcher_step` kernel over the data stack forms
-    all three.  Off cut loci ``dist == |log|``, so the objective is the mean
-    squared log norm, and the gradient norm is the norm of ``Y_Q``, the
-    mean of the data's logs.  The step direction is ``Y_Q`` itself, the
-    exact Newton step of the flat kinds, except on SO(3), whose constant
-    curvature gives the Newton step in closed form
-    (`SpecialOrthogonal._karcher_step`).  Raises `CutLocusError` when some
-    data point is within ``CUT_TOL`` of the cut locus of ``coords``.
+    ``coords``, ``data`` and the direction are in the kind's descent form
+    (`Manifold._descent_form`): coordinate arrays, except on S^2, where
+    they are Python float triples and the data's rows as lists.  One pass
+    of the kind's `_karcher_step` arithmetic over the data forms all three.
+    Off cut loci ``dist == |log|``, so the objective is the mean squared log
+    norm, and the gradient norm is the norm of ``Y_Q``, the mean of the
+    data's logs.  The step direction is ``Y_Q`` itself, the exact Newton
+    step of the flat kinds, except on SO(3), whose constant curvature gives
+    the Newton step in closed form (`SpecialOrthogonal._karcher_step`).
+    Raises `CutLocusError` when some data point is within ``CUT_TOL`` of
+    the cut locus of ``coords``.
     """
-    direction, f, mean = m._karcher_step(coords, Q.coord_stack, CUT_TOL)
-    g = math.sqrt(max(m._inner(coords, mean, mean), 0.0))
-    return direction, f, g
+    return m._descent_step(coords, data, CUT_TOL)
 
 
 def _check_descent_settings(tol) -> None:
@@ -183,11 +184,14 @@ def karcher_descent(Q: Configuration, p0: Point, tol: float = DEFAULT_TOL) -> Me
     and backtracking cannot recover, and `MaxIterExceededError` after
     ``MAX_ITER`` iterations.
 
-    The result is read off the final descent state, with no further pass
-    over the data: ``objective`` is its objective, ``grad_norm`` and
-    ``barycenter_residual`` its gradient norm, and ``classification`` is
-    `SHORT` (that state's log pass found every data point inside the
-    ``CUT_TOL`` margin).  ``afsari_certified`` is False, since one run
+    The loop carries the point, the data and the direction in the kind's
+    descent form (`Manifold._descent_form`; float triples on S^2), steps
+    with `Manifold._descent_move`, and freezes the minimizer's coordinates
+    once, at exit.  The result is read off the final descent state, with
+    no further pass over the data: ``objective`` is its objective,
+    ``grad_norm`` and ``barycenter_residual`` its gradient norm, and
+    ``classification`` is `SHORT` (that state's log pass found every data
+    point inside the ``CUT_TOL`` margin).  ``afsari_certified`` is False, since one run
     certifies nothing; `frechet_mean` sets it from the data.
 
     A bad ``tol`` (see `_check_descent_settings`) raises `InvalidInputError`.
@@ -195,8 +199,8 @@ def karcher_descent(Q: Configuration, p0: Point, tol: float = DEFAULT_TOL) -> Me
     _check_descent_settings(tol)
     m = Q.manifold
     m._own(p0)
-    coords = p0.coords
-    direction, f, g = _descent_state(m, Q, coords)
+    coords, data = m._descent_form(p0.coords, Q.coord_stack)
+    direction, f, g = _descent_state(m, data, coords)
     iterations = 0
     while True:
         if g < tol:
@@ -210,9 +214,9 @@ def karcher_descent(Q: Configuration, p0: Point, tol: float = DEFAULT_TOL) -> Me
         accepted = False
         cut_blocked = False
         while s > 1e-17:
-            cand = m._exp(coords, s * direction)
+            cand = m._descent_move(coords, s, direction)
             try:
-                cand_dir, cand_f, cand_g = _descent_state(m, Q, cand)
+                cand_dir, cand_f, cand_g = _descent_state(m, data, cand)
             except CutLocusError:
                 cut_blocked = True
                 s *= 0.5

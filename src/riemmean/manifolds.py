@@ -34,6 +34,13 @@ Each kind writes its per-point kernels ``_exp``, ``_log``, ``_dist`` and
   SO(3), whose constant curvature gives the Newton step in closed form, and
   on products, which join their factors' steps.
 
+The Karcher descent carries its point, data and direction in the kind's
+own form, coordinate arrays in the base class: ``_descent_form(p, stack)``
+gives ``(point, data)``, ``_descent_step(point, data, tol)`` gives
+``(direction, mean_sq, grad_norm)`` (``_karcher_step`` and the norm of its
+mean log) and ``_descent_move(point, s, direction)`` steps to
+``exp(point, s * direction)``.
+
 The base class builds every kind's tangent basis, products included, by
 Gram-Schmidt under ``_inner`` on the ``_project`` of the embedding's
 standard basis.
@@ -50,7 +57,7 @@ So a point is in the cut locus iff its log refuses, and the block's rows are
 the per-point logs, by construction.  ``_log_mean`` refuses exactly when
 some row is within ``tol`` of the cut locus.  The solvers need only means,
 so the gradient field and the barycenter check call ``_log_mean``, and the
-Karcher descent states ``_karcher_step``; no solver calls ``_log_block``.
+Karcher descent states ``_descent_step``; no solver calls ``_log_block``.
 Every minimum over a group orbit and the concentration certificate call
 ``_dist_block``.  SO(m) forms all relative rotations of a stack with one
 broadcast matmul and reads their angles in closed form for m <= 3, where
@@ -65,14 +72,19 @@ The sphere's kernels run on a few short rows (a C9 descent state is a 5 x 3
 stack), where numpy's per-call overhead costs more than the arithmetic.  So
 on S^2 they run on Python floats: one row routine, ``Sphere._row``, forms a
 row's angle and off-``p`` components from six floats and refuses near the
-antipode, and the per-point ``_dist`` and ``_log``, ``_dist_block`` and
-``_log_mean`` / ``_karcher_step`` (one ``tolist`` of the stack, one
-ndarray out) are built on it, with ``_exp`` in floats too.  A block's rows
-are then the per-point values bit for bit, and a block refuses exactly
-when some row's ``_log`` does.  Spheres of other dimensions keep numpy
-kernels: ``ndarray.dot`` for the per-point dot products, and one
-``np.hypot.reduce`` per row norm in the blocks, whose rows agree with the
-per-point values within rounding, not bit for bit.
+antipode; the per-point ``_dist`` and ``_log`` and ``_dist_block`` are
+built on it.  ``_s2_log_mean`` runs its arithmetic inline over a stack's
+rows for ``_log_mean`` / ``_karcher_step`` and ``_descent_step``, and
+``_s2_exp`` is the one float exp of ``_exp`` and ``_descent_move``.  A
+block's rows are then the per-point values bit for bit, and a block
+refuses exactly when some row's ``_log`` does.  The S^2 descent form is
+float triples and the stack's ``tolist``; a state builds one ndarray, to
+take the gradient norm with numpy's ``dot`` rounding, so the descent
+forms the array form's states bit for bit.  Spheres of other dimensions
+keep numpy kernels and the array form: ``ndarray.dot`` for the per-point
+dot products, and one ``np.hypot.reduce`` per row norm in the blocks,
+whose rows agree with the per-point values within rounding, not bit for
+bit.
 """
 
 from __future__ import annotations
@@ -275,6 +287,21 @@ class Manifold:
         mean, mean_sq = self._log_mean(p, stack, tol)
         return mean, mean_sq, mean
 
+    def _descent_form(self, p: np.ndarray, stack: np.ndarray):
+        """``(point, data)``: ``p`` and ``stack`` in the Karcher descent's
+        form, here the coordinate arrays themselves."""
+        return p, stack
+
+    def _descent_step(self, p, data, tol: float):
+        """``(direction, mean_sq, grad_norm)`` at a descent-form point:
+        `_karcher_step` and the norm of its mean log."""
+        step, mean_sq, mean = self._karcher_step(p, data, tol)
+        return step, mean_sq, math.sqrt(max(self._inner(p, mean, mean), 0.0))
+
+    def _descent_move(self, p, s: float, direction):
+        """The descent-form point ``exp(p, s * direction)``."""
+        return self._exp(p, s * direction)
+
     def _dist_block(self, p: np.ndarray, stack: np.ndarray) -> np.ndarray:
         """Distances from ``p`` to every row of ``stack``."""
         raise NotImplementedError
@@ -368,6 +395,45 @@ def _log_scale(theta: float) -> float:
     return 0.0 if theta < 1e-16 else theta / math.sin(theta)
 
 
+def _s2_exp(p, v):
+    """S^2 ``exp_p(v)`` on two float triples, as a float triple."""
+    p0, p1, p2 = p
+    v0, v1, v2 = v
+    theta = math.hypot(v0, v1, v2)
+    sinc = 1.0 if theta < 1e-12 else math.sin(theta) / theta
+    cos = math.cos(theta)
+    o0 = cos * p0 + sinc * v0
+    o1 = cos * p1 + sinc * v1
+    o2 = cos * p2 + sinc * v2
+    norm = math.hypot(o0, o1, o2)
+    return o0 / norm, o1 / norm, o2 / norm
+
+
+def _s2_log_mean(p, rows, tol):
+    """``(mean_log, mean_sq)`` on S^2 at the float triple ``p`` over the
+    float triples ``rows``, the mean log a float triple: the arithmetic of
+    `Sphere._row` and `_log_scale`, inline (a call per row would cost about
+    as much as the row), refusing as `_row` does."""
+    p0, p1, p2 = p
+    s0 = s1 = s2 = sq = 0.0
+    edge = math.pi - tol
+    for q0, q1, q2 in rows:
+        c = p0 * q0 + p1 * q1 + p2 * q2
+        w0 = q0 - c * p0
+        w1 = q1 - c * p1
+        w2 = q2 - c * p2
+        theta = math.atan2(math.hypot(w0, w1, w2), c)
+        if theta > edge:
+            raise CutLocusError("antipodal points: sphere log undefined")
+        r = 0.0 if theta < 1e-16 else theta / math.sin(theta)
+        s0 += r * w0
+        s1 += r * w1
+        s2 += r * w2
+        sq += theta * theta
+    n = len(rows)
+    return (s0 / n, s1 / n, s2 / n), sq / n
+
+
 class Sphere(Manifold):
     """Unit n-sphere in R^(n+1).
 
@@ -376,11 +442,14 @@ class Sphere(Manifold):
     ``p`` with length ``theta = atan2(|w|, <p, q>)``.  The cut locus of
     ``p`` is the antipode ``-p``.
 
-    On S^2 (n == 2) every kernel but `_inner` runs on Python floats, and
-    `_dist`, `_log` and the blocks are built on the one row routine `_row`.
-    Other n use numpy: the per-point kernels clamp the cosine and read
-    ``sqrt(w.dot(w))``, the blocks take each row norm with one
-    ``np.hypot.reduce``, so there block rows and per-point values may
+    On S^2 (n == 2) every kernel but `_inner` runs on Python floats:
+    `_dist`, `_log` and `_dist_block` are built on the one row routine
+    `_row`, the mean logs and the descent step on its inline form
+    `_s2_log_mean`, `_exp` and the descent move on `_s2_exp`, and the
+    Karcher descent carries float triples (`_descent_form`).  Other n use
+    numpy and the array descent form: the per-point kernels clamp the
+    cosine and read ``sqrt(w.dot(w))``, the blocks take each row norm with
+    one ``np.hypot.reduce``, so there block rows and per-point values may
     differ in the last bits.
     """
 
@@ -422,16 +491,7 @@ class Sphere(Manifold):
 
     def _exp(self, p, v):
         if self.n == 2:
-            p0, p1, p2 = p.tolist()
-            v0, v1, v2 = v.tolist()
-            theta = math.hypot(v0, v1, v2)
-            sinc = 1.0 if theta < 1e-12 else math.sin(theta) / theta
-            cos = math.cos(theta)
-            o0 = cos * p0 + sinc * v0
-            o1 = cos * p1 + sinc * v1
-            o2 = cos * p2 + sinc * v2
-            norm = math.hypot(o0, o1, o2)
-            return np.array([o0 / norm, o1 / norm, o2 / norm])
+            return np.array(_s2_exp(p.tolist(), v.tolist()))
         theta = math.sqrt(v.dot(v))
         sinc = 1.0 if theta < 1e-12 else math.sin(theta) / theta
         out = math.cos(theta) * p + sinc * v
@@ -474,22 +534,12 @@ class Sphere(Manifold):
         return np.arctan2(np.hypot.reduce(w, axis=1), c), w
 
     # the base class's mean-log step, formed without its extra call level:
-    # a C9 trial forms about a thousand descent states
+    # off S^2 the array descent forms one per state
     def _karcher_step(self, p, stack, tol):
         if self.n == 2:
-            p0, p1, p2 = p.tolist()
-            rows = stack.tolist()
-            s0 = s1 = s2 = sq = 0.0
-            for q0, q1, q2 in rows:
-                theta, w0, w1, w2 = self._row(p0, p1, p2, q0, q1, q2, tol)
-                r = _log_scale(theta)
-                s0 += r * w0
-                s1 += r * w1
-                s2 += r * w2
-                sq += theta * theta
-            n = len(rows)
-            mean = np.array([s0 / n, s1 / n, s2 / n])
-            return mean, sq / n, mean
+            mean, mean_sq = _s2_log_mean(p.tolist(), stack.tolist(), tol)
+            mean = np.array(mean)
+            return mean, mean_sq, mean
         theta, w = self._angles_block(p, stack)
         # the ufunc reduction itself, without ndarray.max's Python wrapper
         if np.maximum.reduce(theta) > math.pi - tol:
@@ -506,6 +556,26 @@ class Sphere(Manifold):
     def _log_mean(self, p, stack, tol):
         mean, mean_sq, _ = self._karcher_step(p, stack, tol)
         return mean, mean_sq
+
+    def _descent_form(self, p, stack):
+        if self.n != 2:
+            return super()._descent_form(p, stack)
+        return tuple(p.tolist()), stack.tolist()
+
+    def _descent_step(self, p, data, tol):
+        if self.n != 2:
+            return super()._descent_step(p, data, tol)
+        mean, mean_sq = _s2_log_mean(p, data, tol)
+        # numpy's dot, as `_inner` takes it: a sum of the squares in Python
+        # floats rounds differently
+        arr = np.array(mean)
+        return mean, mean_sq, math.sqrt(max(float(arr.dot(arr)), 0.0))
+
+    def _descent_move(self, p, s, direction):
+        if self.n != 2:
+            return super()._descent_move(p, s, direction)
+        d0, d1, d2 = direction
+        return _s2_exp(p, (s * d0, s * d1, s * d2))
 
     def _dist_block(self, p, stack):
         if self.n == 2:

@@ -260,31 +260,31 @@ def test_frechet_mean_objective_is_the_per_point_objective(manifold):
 
 def accepted_objectives(monkeypatch, Q, p0):
     """Run `karcher_descent` and return it with the objectives of its
-    accepted states, observed from outside.  Each step starts its `_exp`
-    from the current accepted state, so a state is accepted iff the next
-    `_exp` starts from its coordinates; the last state formed is the final
-    one.  Also returns the number of states formed."""
+    accepted states, observed from outside.  Each step starts its
+    `_descent_move` from the current accepted state, so a state is accepted
+    iff the next move starts from its coordinates; the last state formed is
+    the final one.  Also returns the number of states formed."""
     events = []
     descent_state = frechet._descent_state
-    exp = Q.manifold._exp
+    move = Q.manifold._descent_move
 
-    def record_state(m, Q, coords):
-        out = descent_state(m, Q, coords)
+    def record_state(m, data, coords):
+        out = descent_state(m, data, coords)
         events.append(("state", coords, out[1]))
         return out
 
-    def record_exp(p, v):
-        events.append(("exp", p, None))
-        return exp(p, v)
+    def record_move(p, s, direction):
+        events.append(("move", p, None))
+        return move(p, s, direction)
 
     with monkeypatch.context() as patch:
         patch.setattr(frechet, "_descent_state", record_state)
-        patch.setattr(Q.manifold, "_exp", record_exp)
+        patch.setattr(Q.manifold, "_descent_move", record_move)
         res = karcher_descent(Q, p0)
     assert events[-1][0] == "state"
     trace, next_start = [], None
     for kind, coords, f in reversed(events):
-        if kind == "exp":
+        if kind == "move":
             next_start = coords
         elif next_start is None or next_start is coords:
             trace.append(f)
@@ -347,9 +347,9 @@ def descent_states(Q, p0):
     formed = []
     descent_state = frechet._descent_state
 
-    def record_state(m, Q, coords):
+    def record_state(m, data, coords):
         formed.append(coords)
-        return descent_state(m, Q, coords)
+        return descent_state(m, data, coords)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(frechet, "_descent_state", record_state)
@@ -392,6 +392,101 @@ def test_mean_log_step_kinds_descend_as_before(seed, name, size, spread):
     assert len(formed) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(formed, want))
     assert np.array_equal(res.minimizer.coords, want[-1])
+
+
+def descend_in_both_forms(Q, p0):
+    """`karcher_descent` from ``p0`` on ``Sphere(2)`` in its float descent
+    form, then with the base class's array form restored; each outcome is
+    the result or the error raised, with the number of descent moves."""
+
+    def run():
+        moves = []
+        move = Sphere._descent_move
+
+        def count_move(self, p, s, direction):
+            moves.append(s)
+            return move(self, p, s, direction)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Sphere, "_descent_move", count_move)
+            try:
+                return karcher_descent(Q, p0), len(moves)
+            except (CutLocusError, MaxIterExceededError) as err:
+                return err, len(moves)
+
+    assert isinstance(Q.manifold._descent_form(p0.coords, Q.coord_stack)[0], tuple)
+    floats = run()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_descent_form", "_descent_step", "_descent_move"):
+            patch.setattr(Sphere, name, getattr(Manifold, name))
+        arrays = run()
+    return floats, arrays
+
+
+def assert_same_outcome(floats, arrays):
+    (got, got_moves), (want, want_moves) = floats, arrays
+    assert got_moves == want_moves
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.minimizer.coords.tobytes() == want.minimizer.coords.tobytes()
+    assert got.iterations == want.iterations
+    assert got.objective == want.objective
+    assert got.grad_norm == want.grad_norm
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=6),
+    spread=st.sampled_from([0.3, 0.9, 1.5]),
+    step=st.sampled_from([1.0, 2.5]),
+)
+def test_s2_float_descent_is_the_array_descent(seed, size, spread, step):
+    """On S^2 the descent in float triples forms the array descent's
+    result bit for bit, or raises its error with the same message, also
+    with the long steps (``STEP = 2.5``) that make it backtrack and with
+    data spread past the convexity radius."""
+    sph = Sphere(2)
+    rng = np.random.Generator(np.random.Philox(key=[0xF10A, seed]))
+    center = sph.random_point(rng)
+    radius = spread * sph.constants.r_cx
+    pts = tuple(sample_ball(sph, center, radius, rng) for _ in range(size))
+    Q = Configuration(sph, pts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frechet, "STEP", step)
+        assert_same_outcome(*descend_in_both_forms(Q, pts[0]))
+
+
+def test_s2_float_descent_fails_as_the_array_descent(monkeypatch):
+    """The float descent backtracks, stops at ``MAX_ITER`` and refuses a
+    near-antipodal pair exactly as the array descent does."""
+    sph = Sphere(2)
+    rng = rng_for(65)
+    pts = tuple(sph.random_point(rng) for _ in range(5))
+    Q = Configuration(sph, pts)
+    monkeypatch.setattr(frechet, "STEP", 2.5)
+    floats, arrays = descend_in_both_forms(Q, pts[0])
+    assert_same_outcome(floats, arrays)
+    # more moves than accepted steps: the descent backtracked
+    assert floats[1] > floats[0].iterations
+    monkeypatch.setattr(frechet, "STEP", 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(frechet, "MAX_ITER", 2)
+        floats, arrays = descend_in_both_forms(Q, pts[0])
+    assert isinstance(floats[0], MaxIterExceededError)
+    assert_same_outcome(floats, arrays)
+    # the second point lies 1e-9 from the antipode of the first, inside the
+    # CUT_TOL margin, so a descent from either of them refuses at once
+    antipode = sph.point(-pts[0].coords)
+    offset = 1e-9 * np.cross(pts[0].coords, [0.0, 0.0, 1.0])
+    near = sph.exp(antipode, sph.tangent(antipode, offset))
+    Q = Configuration(sph, (pts[0], near) + pts[2:])
+    for i, start in enumerate(Q.points):
+        floats, arrays = descend_in_both_forms(Q, start)
+        if i < 2:
+            assert isinstance(floats[0], CutLocusError)
+        assert_same_outcome(floats, arrays)
 
 
 @pytest.mark.parametrize("k", [0.25, 1.0, 4.0])
