@@ -389,10 +389,15 @@ class Euclidean(Manifold):
         return np.linalg.norm(stack - p, axis=1)
 
 
-def _log_scale(theta: float) -> float:
-    """The S^2 log's factor on ``w``: ``theta / sin(theta)``, and 0 below
-    1e-16, where ``w`` is rounding and the log is zero."""
-    return 0.0 if theta < 1e-16 else theta / math.sin(theta)
+def _log_scale(theta: float, h: float) -> float:
+    """The S^2 log's factor on ``w``: ``theta / |w|`` for ``h = |w|``, and 0
+    below 1e-16, where ``w`` is rounding and the log is zero (or where
+    ``w`` is zero).  ``|w|`` is ``sin(theta)`` up to the rounding of the
+    unit norms, but read off ``w`` it keeps its relative accuracy near the
+    antipode, where ``sin(theta)`` taken of the rounded ``theta`` loses it
+    (``theta``'s ulp, 4.4e-16, over ``sin(theta)``): the log's norm is
+    ``theta`` within rounding at every distance."""
+    return 0.0 if theta < 1e-16 or h == 0.0 else theta / h
 
 
 def _s2_exp(p, v):
@@ -422,10 +427,11 @@ def _s2_log_mean(p, rows, tol):
         w0 = q0 - c * p0
         w1 = q1 - c * p1
         w2 = q2 - c * p2
-        theta = math.atan2(math.hypot(w0, w1, w2), c)
+        h = math.hypot(w0, w1, w2)
+        theta = math.atan2(h, c)
         if theta > edge:
             raise CutLocusError("antipodal points: sphere log undefined")
-        r = 0.0 if theta < 1e-16 else theta / math.sin(theta)
+        r = 0.0 if theta < 1e-16 or h == 0.0 else theta / h
         s0 += r * w0
         s1 += r * w1
         s2 += r * w2
@@ -476,18 +482,20 @@ class Sphere(Manifold):
             raise InvalidInputError("vector is not tangent to the sphere")
 
     def _row(self, p0, p1, p2, q0, q1, q2, tol=None):
-        """The one S^2 row kernel: ``(theta, w0, w1, w2)``, the angle from
-        ``p`` to ``q`` and the components of ``w = q - <p, q> p``, on six
-        Python floats.  With a ``tol``, refuses `CutLocusError` when
-        ``theta > pi - tol``, the sphere's one cut-locus rule."""
+        """The one S^2 row kernel: ``(theta, h, w0, w1, w2)``, the angle
+        from ``p`` to ``q``, the norm ``h`` of ``w = q - <p, q> p`` and its
+        components, on six Python floats.  With a ``tol``, refuses
+        `CutLocusError` when ``theta > pi - tol``, the sphere's one
+        cut-locus rule."""
         c = p0 * q0 + p1 * q1 + p2 * q2
         w0 = q0 - c * p0
         w1 = q1 - c * p1
         w2 = q2 - c * p2
-        theta = math.atan2(math.hypot(w0, w1, w2), c)
+        h = math.hypot(w0, w1, w2)
+        theta = math.atan2(h, c)
         if tol is not None and theta > math.pi - tol:
             raise CutLocusError("antipodal points: sphere log undefined")
-        return theta, w0, w1, w2
+        return theta, h, w0, w1, w2
 
     def _exp(self, p, v):
         if self.n == 2:
@@ -499,8 +507,8 @@ class Sphere(Manifold):
 
     def _log(self, p, q, tol):
         if self.n == 2:
-            theta, w0, w1, w2 = self._row(*p.tolist(), *q.tolist(), tol)
-            r = _log_scale(theta)
+            theta, h, w0, w1, w2 = self._row(*p.tolist(), *q.tolist(), tol)
+            r = _log_scale(theta, h)
             return np.array([r * w0, r * w1, r * w2])
         c = max(-1.0, min(1.0, float(p.dot(q))))
         w = q - c * p
