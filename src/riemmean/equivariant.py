@@ -67,14 +67,26 @@ class QuotientPoint:
         """The representative's orbit under ``action``, stacked in element
         order and read-only.  Built once per action and kept on the point,
         as `Configuration.coord_stack` keeps its stack: both are immutable."""
-        stacks = getattr(self, "_orbit_stacks", None)
-        if stacks is None:
-            stacks = {}
-            object.__setattr__(self, "_orbit_stacks", stacks)
-        stack = stacks.get(action)
-        if stack is None:
-            stack = stacks[action] = _frozen(action.orbit_stack(self.representative))
-        return stack
+        return self._kept("_orbit_stacks", action, lambda: _frozen(
+            action.orbit_stack(self.representative)
+        ))
+
+    def _dist_form(self, action: "FiniteAction"):
+        """`orbit_stack` in the cover's `Manifold._dist_form`, kept on the
+        point per action as the stack is."""
+        return self._kept("_dist_forms", action, lambda: action.cover._dist_form(
+            self.orbit_stack(action)
+        ))
+
+    def _kept(self, attr: str, action: "FiniteAction", build):
+        kept = getattr(self, attr, None)
+        if kept is None:
+            kept = {}
+            object.__setattr__(self, attr, kept)
+        value = kept.get(action)
+        if value is None:
+            value = kept[action] = build()
+        return value
 
 
 @dataclass(frozen=True)
@@ -189,14 +201,15 @@ class FiniteAction:
 
     def orbit_dist(self, p: Point | QuotientPoint, target: Point) -> float:
         """``min_h dist(h . p, target)``: one batched distance call over the
-        orbit of ``p``.  A `QuotientPoint` lends the orbit stack it keeps, so
-        repeated distances from one fiber build its orbit once."""
+        orbit of ``p``.  A `QuotientPoint` lends the orbit it keeps, in the
+        cover's distance form, so repeated distances from one fiber build
+        that form once."""
         self.cover._own(target)
         if isinstance(p, QuotientPoint):
-            orbit = p.orbit_stack(self)
+            d = self.cover._form_dists(target.coords, p._dist_form(self))
         else:
-            orbit = self.orbit_stack(p)
-        return float(self.cover._dist_block(target.coords, orbit).min())
+            d = self.cover._dist_block(target.coords, self.orbit_stack(p))
+        return float(d.min())
 
     def same_fiber(self, p: Point, q: Point, tol: float = FIBER_TOL) -> bool:
         return self.orbit_dist(p, q) <= tol
@@ -250,15 +263,18 @@ def efm_objective(
     return float(np.mean([d_evt(action, q, p_tilde) ** 2 for q in Q]))
 
 
-def _scan_orbits(cover, orbits, coords):
+def _scan_orbits(cover, orbits, coords, form=None):
     """For each orbit of the ``(N, order) + cover.shape`` stack, the index of
     the member nearest to ``coords`` (lowest index on ties) and its distance:
-    one batched distance call over all N * order members."""
+    one batched distance call over all N * order members, read off
+    ``form``, the members' `Manifold._dist_form` (built here if not
+    given)."""
     n, order = orbits.shape[:2]
-    d = cover._dist_block(coords, orbits.reshape((n * order,) + orbits.shape[2:]))
-    d = d.reshape(n, order)
-    indices = d.argmin(axis=1)
-    return indices.tolist(), d[np.arange(n), indices]
+    if form is None:
+        form = cover._dist_form(orbits.reshape((n * order,) + orbits.shape[2:]))
+    d = cover._form_dists(coords, form).reshape(n, order)
+    # the minima are the entries at the argmins, bit for bit
+    return d.argmin(axis=1).tolist(), d.min(axis=1)
 
 
 def efm_solve(
@@ -290,6 +306,9 @@ def efm_solve(
     (``outer_iterations`` with ``init``) and ``outer_iterations - 1``
     Karcher solves.  Each sample's orbit stack is built once per action
     (`QuotientPoint.orbit_stack`) and the lifts are read-only views of it.
+    The stack of all N orbits is put in the cover's distance form
+    (`Manifold._dist_form`; float rows on the m = 2 PSR cover) once per
+    solve, and every scan reads that form.
     """
     Q = list(Q)
     if not Q:
@@ -299,13 +318,15 @@ def efm_solve(
         cover._own(init)
     orbits = np.stack([q.orbit_stack(action) for q in Q])
     orbits.flags.writeable = False
+    form = cover._dist_form(orbits.reshape((-1,) + orbits.shape[2:]))
 
     def lift_points(idx):
         return [Point(cover.manifold_id, orbits[i, j]) for i, j in enumerate(idx)]
 
     def scan(coords):
-        idx, dists = _scan_orbits(cover, orbits, coords)
-        return idx, float(np.mean(np.square(dists)))
+        idx, dists = _scan_orbits(cover, orbits, coords, form)
+        # np.mean's own sum and division, without its Python wrapper
+        return idx, float(np.square(dists).sum()) / len(dists)
 
     if init is None:
         # min keeps the first of equal objectives, the lowest sample index

@@ -448,8 +448,10 @@ def afsari_certificate(Q: Configuration) -> Certificate:
     r_cx = m.constants.r_cx
     bound = r_cx - AFSARI_MARGIN
 
+    form = m._dist_form(Q.coord_stack)
+
     def distances(coords: np.ndarray) -> np.ndarray:
-        return m._dist_block(coords, Q.coord_stack)
+        return m._form_dists(coords, form)
 
     rows = np.stack([distances(q.coords) for q in Q.points])
     radii = rows.max(axis=1)

@@ -178,8 +178,14 @@ class SummaryReport:
     max_residual: float | None
     uniqueness_rate: float | None
     sampler_absolutely_continuous: bool
-    config_echo: tuple[tuple[str, str], ...]
+    config: ExperimentConfig
     extras: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def config_echo(self) -> tuple[tuple[str, str], ...]:
+        """The config's ``(key, value)`` strings of the summary's
+        ``config.*`` lines, formed from the frozen config when read."""
+        return tuple(self.config.echo())
 
     def to_text(self) -> str:
         lines = [
@@ -262,7 +268,7 @@ def _summarize(
         max_residual=max(residuals) if residuals else None,
         uniqueness_rate=(sum(uniques) / len(uniques)) if uniques else None,
         sampler_absolutely_continuous=sampler_ac,
-        config_echo=tuple(cfg.echo()),
+        config=cfg,
         extras=extras,
     )
 

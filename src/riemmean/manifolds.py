@@ -32,7 +32,11 @@ Each kind writes its per-point kernels ``_exp``, ``_log``, ``_dist`` and
 * ``_karcher_step(p, stack, tol)`` -- the same pass plus the Karcher
   descent's step direction: the mean log itself (the base class), except on
   SO(3), whose constant curvature gives the Newton step in closed form, and
-  on products, which join their factors' steps.
+  on products, which join their factors' steps;
+* ``_dist_form(stack)`` / ``_form_dists(p, form)`` -- ``_dist_block`` split
+  in two, so that a stack measured many times (an orbit scan's, a
+  certificate's) is put in the kind's form once: the array itself, except
+  on float-form products.
 
 The Karcher descent carries its point, data and direction in the kind's
 own form, coordinate arrays in the base class: ``_descent_form(p, stack)``
@@ -84,11 +88,28 @@ forms the array form's states bit for bit.  Spheres of other dimensions
 keep numpy kernels and the array form: ``ndarray.dot`` for the per-point
 dot products, and one ``np.hypot.reduce`` per row norm in the blocks,
 whose rows agree with the per-point values within rounding, not bit for
-bit.
+bit.  Every sphere scales the log's ``w`` by ``theta / |w|``.
+
+The m = 2 PSR cover SO(2) x Diag+(2) runs on Python floats as well, with
+orbit scans of 40 rows and descent states of 10.  SO(2) and DiagPos have
+float row routines (``_float_rows``): ``_rows(stack)`` puts a stack's rows
+in float form once (SO(2) rotation parts, DiagPos entry logs), and
+``_row_log_mean``, ``_row_dists`` and ``_row_exp`` work on a point's flat
+entries.  SO(2) builds all its kernels on them: one row routine,
+`_so2_angles`, gives the relative angles for ``_dist_block``, ``_log`` and
+``_log_mean`` / ``_karcher_step``, and `_so2_exp` is its one exp.  DiagPos
+keeps its numpy kernels, since the m = 3 cover's 240-row scans run faster
+on them; its float rows are the one deliberate second path.  A product
+whose factors all have float rows composes them into its float form:
+``_dist_block``, ``_dist_form`` / ``_form_dists``, ``_log_mean`` /
+``_karcher_step``, ``_exp`` and the three ``_descent_*`` kernels read the
+factors' routines, the point is a flat float tuple and the data the
+factors' rows.  Other products (the m = 3 cover) keep the arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -149,6 +170,10 @@ class Manifold:
     is_compact: bool
     # shape of one point's coordinates
     shape: tuple[int, ...]
+    # True on the kinds with float row routines (SO(2), DiagPos): `_rows`,
+    # `_row_log_mean`, `_row_sq_dists` and `_row_exp`, which `Product`
+    # composes into its float form
+    _float_rows = False
 
     # -- wrapping / validation ------------------------------------------------
 
@@ -306,6 +331,16 @@ class Manifold:
         """Distances from ``p`` to every row of ``stack``."""
         raise NotImplementedError
 
+    def _dist_form(self, stack: np.ndarray):
+        """``stack`` in the form `_form_dists` reads, built once for many
+        distance passes (an orbit scan's stack): here the array itself."""
+        return stack
+
+    def _form_dists(self, p: np.ndarray, form):
+        """Distances from ``p`` to every row of a `_dist_form`: here
+        `_dist_block`."""
+        return self._dist_block(p, form)
+
     def _inner(self, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -390,7 +425,7 @@ class Euclidean(Manifold):
 
 
 def _log_scale(theta: float, h: float) -> float:
-    """The S^2 log's factor on ``w``: ``theta / |w|`` for ``h = |w|``, and 0
+    """The sphere log's factor on ``w``: ``theta / |w|`` for ``h = |w|``, and 0
     below 1e-16, where ``w`` is rounding and the log is zero (or where
     ``w`` is zero).  ``|w|`` is ``sin(theta)`` up to the rounding of the
     unit norms, but read off ``w`` it keeps its relative accuracy near the
@@ -456,7 +491,8 @@ class Sphere(Manifold):
     numpy and the array descent form: the per-point kernels clamp the
     cosine and read ``sqrt(w.dot(w))``, the blocks take each row norm with
     one ``np.hypot.reduce``, so there block rows and per-point values may
-    differ in the last bits.
+    differ in the last bits.  Every n scales ``w`` by ``theta / |w|``
+    (`_log_scale`), so the log's norm is the distance near the antipode.
     """
 
     def __init__(self, n: int):
@@ -512,12 +548,11 @@ class Sphere(Manifold):
             return np.array([r * w0, r * w1, r * w2])
         c = max(-1.0, min(1.0, float(p.dot(q))))
         w = q - c * p
-        theta = math.atan2(math.sqrt(w.dot(w)), c)
+        h = math.sqrt(w.dot(w))
+        theta = math.atan2(h, c)
         if theta > math.pi - tol:
             raise CutLocusError("antipodal points: sphere log undefined")
-        if theta < 1e-16:
-            return np.zeros_like(p)
-        return (theta / math.sin(theta)) * w
+        return _log_scale(theta, h) * w
 
     def _dist(self, p, q):
         if self.n == 2:
@@ -537,9 +572,11 @@ class Sphere(Manifold):
         return v / np.linalg.norm(v)
 
     def _angles_block(self, p, stack):
+        # the angles, the norms |w| of the off-p rows w, and the rows
         c = stack.dot(p)
         w = stack - np.multiply.outer(c, p)
-        return np.arctan2(np.hypot.reduce(w, axis=1), c), w
+        h = np.hypot.reduce(w, axis=1)
+        return np.arctan2(h, c), h, w
 
     # the base class's mean-log step, formed without its extra call level:
     # off S^2 the array descent forms one per state
@@ -548,13 +585,12 @@ class Sphere(Manifold):
             mean, mean_sq = _s2_log_mean(p.tolist(), stack.tolist(), tol)
             mean = np.array(mean)
             return mean, mean_sq, mean
-        theta, w = self._angles_block(p, stack)
+        theta, h, w = self._angles_block(p, stack)
         # the ufunc reduction itself, without ndarray.max's Python wrapper
         if np.maximum.reduce(theta) > math.pi - tol:
             raise CutLocusError("antipodal points: sphere log undefined")
-        # theta/sin(theta) is stable away from pi; at theta ~ 0 the factor is
-        # irrelevant because w ~ 0
-        ratio = theta / np.maximum(np.sin(theta), 1e-300)
+        # theta / |w|, the factor of `_log_scale`; where w is 0 so is theta
+        ratio = theta / np.maximum(h, 1e-300)
         n = len(theta)
         # ndarray.dot is the same product as @ (bit for bit) with less
         # per-call overhead on these few rows
@@ -599,6 +635,49 @@ class Sphere(Manifold):
 _HAT_ENTRIES = np.array([7, 2, 3])
 
 
+def _so2_part(p00, p01, p10, p11):
+    """The rotation part ``(a, b)`` of a 2 x 2 matrix, ``[[a, -b], [b, a]]``
+    its nearest multiple of a rotation: the means of its diagonal and of
+    its skew entries.  On a matrix of that form it is exact, and the
+    relative angle of `_so2_angles` then rounds as the 4-entry form
+    ``c = tr(p^T q) / 2``, ``s = ((p^T q)_10 - (p^T q)_01) / 2`` does."""
+    return 0.5 * (p00 + p11), 0.5 * (p10 - p01)
+
+
+def _so2_angles(p, rows):
+    """The one SO(2) row routine: the signed angle of the relative rotation
+    ``p^T q`` for every ``q`` of ``rows``, all points as rotation parts
+    (`_so2_part`).  Its cosine ``c = a_p a_q + b_p b_q`` and sine
+    ``s = a_p b_q - b_p a_q`` are symmetric and antisymmetric in ``p`` and
+    ``q`` term by term, so distances are exactly symmetric."""
+    pa, pb = p
+    atan2, copysign = math.atan2, math.copysign
+    return [
+        copysign(atan2(abs(s), pa * a + pb * b), s)
+        for a, b in rows
+        for s in (pa * b - pb * a,)
+    ]
+
+
+def _so2_exp(p, v):
+    """SO(2) ``exp_p(v)`` on 4 entries each: ``p rot(t)`` for the angle
+    ``t`` of ``v`` at ``p`` (the skew part of ``p^T v``), with ``p`` read
+    as its rotation part ``[[a, -b], [b, a]]`` and the result scaled to a
+    unit column, so chained moves do not drift off SO(2)."""
+    p00, p01, p10, p11 = p
+    v00, v01, v10, v11 = v
+    t = 0.5 * ((p01 * v00 + p11 * v10) - (p00 * v01 + p10 * v11))
+    cos, sin = math.cos(t), math.sin(t)
+    a = 0.5 * (p00 + p11)
+    b = 0.5 * (p10 - p01)
+    x = a * cos - b * sin
+    y = b * cos + a * sin
+    h = math.hypot(x, y)
+    x /= h
+    y /= h
+    return [x, -y, y, x]
+
+
 class SpecialOrthogonal(Manifold):
     """SO(m) with the scaled bi-invariant metric ``k * g_so``,
     ``g_so(X, Y) = tr(X.T Y) / 2``.
@@ -615,6 +694,12 @@ class SpecialOrthogonal(Manifold):
     (`core.angle_frame`).  Either way `_log` refuses a relative angle
     within ``tol / sqrt(k)`` of pi, and the base class reads the cut-locus
     predicate off that refusal.
+
+    SO(2) runs on Python floats (the float rows of the module docstring):
+    `_so2_angles` gives the signed relative angle ``t`` of each row, so the
+    distance is ``sqrt(k) |t|`` and the log ``p (t J)``, and `_so2_exp`
+    turns ``p`` by the angle of the tangent.  SO(m >= 3) keeps the numpy
+    kernels.
     """
 
     def __init__(self, m: int, k: float = 1.0):
@@ -631,6 +716,8 @@ class SpecialOrthogonal(Manifold):
         sqrt_k = math.sqrt(self.k)
         self.constants = MetricConstants.from_bounds(sqrt_k * math.pi, 0.25 / self.k)
         self._newton_eye = _frozen(1.5 * np.eye(m))
+        self._sqrt_k = sqrt_k
+        self._float_rows = m == 2
 
     def _check_coords(self, coords):
         if coords.shape != (self.m, self.m):
@@ -648,12 +735,17 @@ class SpecialOrthogonal(Manifold):
             raise InvalidInputError("U.T V is not skew-symmetric")
 
     def _exp(self, p, v):
+        if self._float_rows:
+            return np.array(_so2_exp(p.ravel().tolist(), v.ravel().tolist())).reshape(2, 2)
         R = p @ rotation_exp(p.T @ v)
         # one Newton orthogonality step; exact no-op on orthogonal input
         return R @ (self._newton_eye - 0.5 * (R.T @ R))
 
     # a single point is a stack of one: `_relative` reshapes to (K, m, m)
     def _log(self, p, q, tol):
+        if self._float_rows:
+            mean, _ = self._row_log_mean(p.ravel().tolist(), self._rows(q), tol)
+            return np.array(mean).reshape(q.shape)
         return (p @ self._skew_logs(p, q, tol)).reshape(q.shape)
 
     def _dist(self, p, q):
@@ -661,7 +753,8 @@ class SpecialOrthogonal(Manifold):
 
     def _inner(self, p, u, v):
         X = p.T @ u
-        Y = p.T @ v
+        # a squared norm forms its one product once
+        Y = X if v is u else p.T @ v
         return self.k * 0.5 * float(np.vdot(X, Y))
 
     def _project(self, p, ambient):
@@ -687,6 +780,9 @@ class SpecialOrthogonal(Manifold):
         return rotation_log(self._relative(p, stack), tol / math.sqrt(self.k))
 
     def _log_mean(self, p, stack, tol):
+        if self._float_rows:
+            mean, mean_sq = self._row_log_mean(p.ravel().tolist(), self._rows(stack), tol)
+            return np.array(mean).reshape(2, 2), mean_sq
         X = self._skew_logs(p, stack, tol)
         n = len(X)
         return p @ (X.sum(axis=0) / n), self.k * 0.5 * float(np.vdot(X, X)) / n
@@ -726,12 +822,55 @@ class SpecialOrthogonal(Manifold):
         return p @ step, self.k * 0.5 * float(np.vdot(X, X)) / n, p @ (total / n)
 
     def _dist_block(self, p, stack):
-        return math.sqrt(self.k) * rotation_norm(self._relative(p, stack))
+        if self._float_rows:
+            return np.fromiter(self._row_dists(p.ravel().tolist(), self._rows(stack)), float)
+        return self._sqrt_k * rotation_norm(self._relative(p, stack))
+
+    # -- SO(2) float rows: a point or tangent is its 4 entries, a row of
+    # data its rotation part ------------------------------------------------
+
+    def _rows(self, stack):
+        # `_so2_part` of every row at once (the same float operations)
+        q = stack.reshape(-1, 4)
+        return list(zip((0.5 * (q[:, 0] + q[:, 3])).tolist(), (0.5 * (q[:, 2] - q[:, 1])).tolist()))
+
+    def _row_log_mean(self, p, rows, tol):
+        """``(mean_log, mean_sq)`` at ``p`` over ``rows``, the mean log as 4
+        floats, refusing as `_log` does: a relative angle within
+        ``tol / sqrt(k)`` of pi."""
+        angles = _so2_angles(_so2_part(*p), rows)
+        edge = math.pi - tol / self._sqrt_k
+        total = sq = 0.0
+        for t in angles:
+            if abs(t) > edge:
+                raise CutLocusError("rotation has an angle-pi block; log is not unique")
+            total += t
+            sq += t * t
+        n = len(angles)
+        t = total / n
+        # p @ (t J), J the unit generator [[0, -1], [1, 0]]; |t J|^2 = 2 t^2
+        p00, p01, p10, p11 = p
+        return [t * p01, -t * p00, t * p11, -t * p10], self.k * sq / n
+
+    def _row_dists(self, p, rows):
+        return map(self._sqrt_k.__mul__, map(abs, _so2_angles(_so2_part(*p), rows)))
+
+    def _row_exp(self, p, v):
+        return _so2_exp(p, v)
 
 
 class DiagPos(Manifold):
     """Positive diagonal matrices with the log-Euclidean metric; flat and
-    complete (isometric to R^m via entrywise log)."""
+    complete (isometric to R^m via entrywise log).
+
+    The kernels run on numpy, and the float rows (``_rows`` and the
+    ``_row_*`` routines: the entries' logs, taken once per stack with
+    ``math.log``) serve float-form products.  That second path is
+    deliberate: on the m = 3 cover's 240-row orbit scans the numpy
+    distances took 15 us, floats 192 us, and floats with the logs prebuilt
+    59 us (2-vCPU shared VM), while on the m = 2 cover's short stacks
+    floats win.
+    """
 
     def __init__(self, m: int):
         if m < 1:
@@ -762,7 +901,8 @@ class DiagPos(Manifold):
         return float(np.linalg.norm(np.log(q) - np.log(p)))
 
     def _inner(self, p, u, v):
-        return float(np.sum(u * v / (p * p)))
+        # ndarray.sum is np.sum's reduction without its Python wrapper
+        return float((u * v / (p * p)).sum())
 
     def _project(self, p, ambient):
         return ambient
@@ -783,6 +923,36 @@ class DiagPos(Manifold):
     def _dist_block(self, p, stack):
         return np.linalg.norm(self._log_diff(p, stack), axis=1)
 
+    # -- float rows: a point or tangent is its m entries, a row of data the
+    # tuple of its entries' logs --------------------------------------------
+
+    _float_rows = True
+
+    def _rows(self, stack):
+        logs = list(map(math.log, stack.ravel().tolist()))
+        m = self.m
+        return list(zip(*[logs[i::m] for i in range(m)]))
+
+    def _row_log_mean(self, p, rows, tol):
+        mean = []
+        sq = 0.0
+        n = len(rows)
+        for x, col in zip(p, zip(*rows)):
+            lx = math.log(x)
+            total = 0.0
+            for r in col:
+                d = r - lx
+                total += d
+                sq += d * d
+            mean.append(x * (total / n))
+        return mean, sq / n
+
+    def _row_dists(self, p, rows):
+        return map(math.dist, rows, itertools.repeat(tuple(map(math.log, p))))
+
+    def _row_exp(self, p, v):
+        return [x * math.exp(u / x) for x, u in zip(p, v)]
+
 
 class Product(Manifold):
     """Finite product manifold; coordinates are the concatenated (raveled)
@@ -791,6 +961,15 @@ class Product(Manifold):
     Stored curvature bound: the max of the factor bounds, floored at 0 when
     any factor is at least 2-dimensional (mixed planes are flat) -- a
     conservative upper bound, which is all `rcx_from_constants` needs.
+
+    When every factor has float rows (today exactly the m = 2 PSR cover
+    SO(2) x Diag+(2)), the product runs in float form: a point is a flat
+    float tuple, a stack the factors' rows, and the distance block, mean
+    log, exp and descent kernels call the factors' row routines.
+    Distances are ``hypot`` of the factor distances; the descent's gradient
+    norm is the square root of `_inner`, the factors' numpy inner products
+    summed in factor order, as the base class and `barycenter_check` take
+    it.  Other products run on the arrays.
     """
 
     def __init__(self, factors: list[Manifold]):
@@ -804,8 +983,10 @@ class Product(Manifold):
         self.manifold_id = "product(" + ";".join(f.manifold_id for f in factors) + ")"
         self._shapes = [f.shape for f in factors]
         ends = np.cumsum([math.prod(s) for s in self._shapes]).tolist()
-        self._slices = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+        self._bounds = list(zip([0] + ends[:-1], ends))
+        self._slices = [slice(a, b) for a, b in self._bounds]
         self.shape = (ends[-1],)
+        self._float_form = all(f._float_rows for f in factors)
         r_inj = min(f.constants.r_inj for f in factors)
         deltas = [f.constants.delta_sup for f in factors]
         delta = max(deltas)
@@ -843,6 +1024,8 @@ class Product(Manifold):
             f._check_tangent(Point(f.manifold_id, p_part), v_part)
 
     def _exp(self, p, v):
+        if self._float_form:
+            return np.array(self._row_exp(p.tolist(), v.tolist()))
         return _join(
             [f._exp(pp, vv) for f, pp, vv in zip(self.factors, self.split(p), self.split(v))]
         )
@@ -861,6 +1044,9 @@ class Product(Manifold):
         )
 
     def _log_mean(self, p, stack, tol):
+        if self._float_form:
+            mean, mean_sq = self._row_log_mean(p.tolist(), self._dist_form(stack), tol)
+            return np.array(mean), mean_sq
         means = []
         mean_sq = 0.0
         for f, pp, block in zip(self.factors, self.split(p), self._split_block(stack)):
@@ -870,6 +1056,8 @@ class Product(Manifold):
         return _join(means), mean_sq
 
     def _karcher_step(self, p, stack, tol):
+        if self._float_form:
+            return super()._karcher_step(p, stack, tol)
         # the factors' steps joined; where every factor steps along its mean
         # log, the joined mean is the step, joined once
         steps, means = [], []
@@ -885,18 +1073,73 @@ class Product(Manifold):
         return _join(steps), mean_sq, joined
 
     def _dist_block(self, p, stack):
+        if self._float_form:
+            return self._form_dists(p, self._dist_form(stack))
         sq = 0.0
         for f, pp, block in zip(self.factors, self.split(p), self._split_block(stack)):
             sq = sq + np.square(f._dist_block(pp, block))
         return np.sqrt(sq)
 
+    # -- the float form, where every factor has float rows: a point or
+    # tangent is a flat sequence of floats, data the factors' rows ----------
+
+    def _dist_form(self, stack):
+        if not self._float_form:
+            return stack
+        return [f._rows(block) for f, block in zip(self.factors, self._split_block(stack))]
+
+    def _form_dists(self, p, form):
+        if not self._float_form:
+            return self._dist_block(p, form)
+        p = p.tolist()
+        dists = [
+            f._row_dists(p[a:b], rows)
+            for f, (a, b), rows in zip(self.factors, self._bounds, form)
+        ]
+        return np.fromiter(map(math.hypot, *dists), float)
+
+    def _row_log_mean(self, p, form, tol):
+        mean = []
+        mean_sq = 0.0
+        for f, (a, b), rows in zip(self.factors, self._bounds, form):
+            part, sq = f._row_log_mean(p[a:b], rows, tol)
+            mean += part
+            mean_sq += sq
+        return mean, mean_sq
+
+    def _descent_form(self, p, stack):
+        if not self._float_form:
+            return p, stack
+        return tuple(p.tolist()), self._dist_form(stack)
+
+    def _descent_step(self, p, data, tol):
+        if not self._float_form:
+            return super()._descent_step(p, data, tol)
+        mean, mean_sq = self._row_log_mean(p, data, tol)
+        # the factors' `_inner` on arrays, as the base class and
+        # `barycenter_check` take the norm: SO(2)'s rounds as numpy's matmul
+        arr = np.array(mean)
+        return mean, mean_sq, math.sqrt(max(self._inner(np.array(p), arr, arr), 0.0))
+
+    def _descent_move(self, p, s, direction):
+        if not self._float_form:
+            return super()._descent_move(p, s, direction)
+        return self._row_exp(p, [s * d for d in direction])
+
+    def _row_exp(self, p, v):
+        out = []
+        for f, (a, b) in zip(self.factors, self._bounds):
+            out += f._row_exp(p[a:b], v[a:b])
+        return out
+
     def _inner(self, p, u, v):
-        return sum(
-            f._inner(pp, uu, vv)
-            for f, pp, uu, vv in zip(
-                self.factors, self.split(p), self.split(u), self.split(v)
-            )
-        )
+        total = 0
+        for f, sl, shape in zip(self.factors, self._slices, self._shapes):
+            uu = u[sl].reshape(shape)
+            # a squared norm passes one factor block twice (see SO's `_inner`)
+            vv = uu if v is u else v[sl].reshape(shape)
+            total += f._inner(p[sl].reshape(shape), uu, vv)
+        return total
 
     def _project(self, p, ambient):
         return _join(

@@ -23,12 +23,17 @@ last `EIG_CACHE_SIZE` (16) decompositions, keyed on the matrix's bytes,
 shape and ``gap_tol``: enough for one lab trial's samples plus the fixed
 centre, which the ``d_sr`` rejection tests, ``psr_mean`` and ``d_psr``
 all decompose.  An `EigenPair` keeps its class in the quotient
-(`EigenPair.fiber`, whose representative is the validated cover point
+(`EigenPair.fiber`, whose representative is the pair's cover point
 `EigenPair.to_point`), per cover id, with that class's orbit stack per
 action, so ``d_sr`` and ``d_psr`` build a kept pair's orbit once; and
 `gm_action` keeps the action per ``(m, k)``.  All three are immutable and
 a hit returns what a miss would compute from the same bytes, so no output
 changes; refusals are never cached.
+
+Input is validated where it enters: a pair the caller builds becomes a
+cover point through the cover's point check.  The pairs the package builds
+itself, by `eig_canonical` or `EigenPair.from_point`, are cover points by
+construction and skip that check (the shape is still checked).
 """
 
 from __future__ import annotations
@@ -135,27 +140,45 @@ class EigenPair:
         """The pair's class in the quotient of ``cover`` by G(m), represented
         by the pair itself.  Built once per cover id and kept on the pair,
         with the orbit stacks it keeps (`QuotientPoint.orbit_stack`): all
-        are immutable."""
+        are immutable.  A pair built here or by the user is validated as a
+        point of ``cover``; a pair the package built from a decomposition
+        (`eig_canonical`) or a cover point (`from_point`) is one by
+        construction, and is only checked for its shape."""
+        fibers = self._fiber_cache()
+        q = fibers.get(cover.manifold_id)
+        if q is None:
+            coords = cover.join([self.U, self.d])
+            if getattr(self, "_trusted", False):
+                if coords.shape != cover.shape:
+                    raise InvalidInputError(
+                        f"expected flat shape {cover.shape}, got {coords.shape}"
+                    )
+                point = Point(cover.manifold_id, _frozen(coords))
+            else:
+                point = cover.point(coords)
+            q = fibers[cover.manifold_id] = QuotientPoint(point)
+        return q
+
+    def _fiber_cache(self) -> dict:
         fibers = getattr(self, "_fibers", None)
         if fibers is None:
             fibers = {}
             object.__setattr__(self, "_fibers", fibers)
-        q = fibers.get(cover.manifold_id)
-        if q is None:
-            q = fibers[cover.manifold_id] = QuotientPoint(
-                cover.point(cover.join([self.U, self.d]))
-            )
-        return q
+        return fibers
 
     def to_point(self, cover: Product) -> Point:
-        """The pair as a validated point of ``cover``, built once per cover
-        id (the representative of `fiber`)."""
+        """The pair as a point of ``cover``, built once per cover id (the
+        representative of `fiber`)."""
         return self.fiber(cover).representative
 
     @classmethod
     def from_point(cls, cover: Product, p: Point) -> "EigenPair":
+        """The pair of a cover point; its fiber on ``p``'s manifold is
+        represented by ``p`` itself."""
         U_part, d_part = cover.split(p.coords)
-        return cls(U_part, d_part)
+        pair = cls(U_part, d_part)
+        pair._fiber_cache()[p.manifold_id] = QuotientPoint(p)
+        return pair
 
 
 def act(h: SignedPermutation, pair: EigenPair) -> EigenPair:
@@ -225,7 +248,10 @@ def _eig_canonical(data: bytes, shape: tuple[int, ...], gap_tol: float) -> Eigen
             U[:, j] = -col
     if np.linalg.det(U) < 0.0:
         U[:, -1] = -U[:, -1]
-    return EigenPair(U, lam)
+    pair = EigenPair(U, lam)
+    # U is orthogonal with det +1 and lam > 0: `fiber` need not check it
+    object.__setattr__(pair, "_trusted", True)
+    return pair
 
 
 def cover_manifold(m: int, k: float = 1.0) -> Product:

@@ -394,21 +394,22 @@ def test_mean_log_step_kinds_descend_as_before(seed, name, size, spread):
     assert np.array_equal(res.minimizer.coords, want[-1])
 
 
-def descend_in_both_forms(Q, p0):
-    """`karcher_descent` from ``p0`` on ``Sphere(2)`` in its float descent
-    form, then with the base class's array form restored; each outcome is
-    the result or the error raised, with the number of descent moves."""
+def descend_in_both_forms(Q, p0, kind=Sphere):
+    """`karcher_descent` from ``p0`` on ``Q.manifold`` (of class ``kind``:
+    ``Sphere(2)`` or the m = 2 PSR cover) in its float descent form, then
+    with the base class's array form restored; each outcome is the result
+    or the error raised, with the number of descent moves."""
 
     def run():
         moves = []
-        move = Sphere._descent_move
+        move = kind._descent_move
 
         def count_move(self, p, s, direction):
             moves.append(s)
             return move(self, p, s, direction)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Sphere, "_descent_move", count_move)
+            patch.setattr(kind, "_descent_move", count_move)
             try:
                 return karcher_descent(Q, p0), len(moves)
             except (CutLocusError, MaxIterExceededError) as err:
@@ -418,7 +419,7 @@ def descend_in_both_forms(Q, p0):
     floats = run()
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_descent_form", "_descent_step", "_descent_move"):
-            patch.setattr(Sphere, name, getattr(Manifold, name))
+            patch.setattr(kind, name, getattr(Manifold, name))
         arrays = run()
     return floats, arrays
 
@@ -487,6 +488,79 @@ def test_s2_float_descent_fails_as_the_array_descent(monkeypatch):
         if i < 2:
             assert isinstance(floats[0], CutLocusError)
         assert_same_outcome(floats, arrays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=6),
+    spread=st.sampled_from([0.3, 0.9, 2.0]),
+    step=st.sampled_from([1.0, 2.5]),
+)
+def test_cover2_float_descent_is_the_array_descent(seed, size, spread, step):
+    """On the m = 2 PSR cover SO(2) x Diag+(2) the descent in flat float
+    tuples forms the array descent's result bit for bit (moves, minimizer
+    bytes, iterations, objective, gradient norm), or raises its error with
+    the same message, also with long steps that backtrack and with data
+    spread past the convexity radius.  The long steps overshoot the
+    flat cover's exact mean-log step and cycle near the floor, so
+    ``MAX_ITER`` is 500 here: both forms then raise the same error."""
+    cover = cover_manifold(2)
+    rng = np.random.Generator(np.random.Philox(key=[0xC0F2, seed]))
+    center = cover.random_point(rng)
+    radius = spread * min(cover.constants.r_cx, 2.0)
+    pts = tuple(sample_ball(cover, center, radius, rng) for _ in range(size))
+    Q = Configuration(cover, pts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frechet, "STEP", step)
+        patch.setattr(frechet, "MAX_ITER", 500)
+        assert_same_outcome(*descend_in_both_forms(Q, pts[0], Product))
+
+
+def test_cover2_float_descent_fails_as_the_array_descent(monkeypatch):
+    """On the m = 2 cover the float descent backtracks, stops at
+    ``MAX_ITER`` and refuses a rotation 1e-9 from angle pi exactly as the
+    array descent does."""
+    cover = cover_manifold(2)
+    rng = rng_for(66)
+    center = cover.random_point(rng)
+    pts = tuple(sample_ball(cover, center, 1.0, rng) for _ in range(5))
+    Q = Configuration(cover, pts)
+    monkeypatch.setattr(frechet, "STEP", 2.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(frechet, "MAX_ITER", 2)
+        floats, arrays = descend_in_both_forms(Q, pts[0], Product)
+    assert isinstance(floats[0], MaxIterExceededError)
+    assert_same_outcome(floats, arrays)
+    # more moves than the two accepted steps: the descent backtracked
+    assert floats[1] > 2
+    monkeypatch.setattr(frechet, "STEP", 1.0)
+    # the second point's rotation lies 1e-9 from angle pi from the first's,
+    # inside the CUT_TOL margin, so a descent from either of them refuses
+    U, d = cover.split(pts[0].coords)
+    turn = math.pi - 1e-9
+    near = cover.point(cover.join([U @ rotation_exp(turn * np.array([[0.0, -1.0], [1.0, 0.0]])), d]))
+    Q = Configuration(cover, (pts[0], near) + pts[2:])
+    for i, start in enumerate(Q.points):
+        floats, arrays = descend_in_both_forms(Q, start, Product)
+        if i < 2:
+            assert isinstance(floats[0], CutLocusError)
+        assert_same_outcome(floats, arrays)
+
+
+def test_cover2_chained_moves_stay_on_so2():
+    """10^4 chained `_exp` moves on the m = 2 cover keep the rotation
+    factor orthogonal: each move rescales its rotation to a unit column."""
+    cover = cover_manifold(2)
+    rng = rng_for(67)
+    p = cover.random_point(rng).coords
+    worst = 0.0
+    for _ in range(10_000):
+        v = cover._project(p, rng.standard_normal(6))
+        p = cover._exp(p, (0.5 / math.sqrt(cover._inner(p, v, v))) * v)
+        U = p[:4].reshape(2, 2)
+        worst = max(worst, float(np.max(np.abs(U.T @ U - np.eye(2)))))
+    assert worst <= 1e-13
 
 
 @pytest.mark.parametrize("k", [0.25, 1.0, 4.0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riemmean import lab, spd
+from riemmean import lab, manifolds, spd
 from riemmean.errors import InvalidInputError, NoConvergenceError
 
 
@@ -251,6 +251,23 @@ def test_psr_uniqueness_builds_its_centre_orbit_once(tmp_path, monkeypatch):
     report = lab.run_experiment(cfg)
     assert report.completed == 3
     assert builds == 1
+
+
+def test_psr_uniqueness_trials_validate_no_cover_point(tmp_path, monkeypatch):
+    """Every cover point of a psr_uniqueness run comes from a kernel or a
+    package-built eigendecomposition, so none passes `Manifold.point`."""
+    cfg = make_cfg(
+        tmp_path, experiment="psr_uniqueness", trials=3, sample_size=5,
+        **PSR_CONFIGS["psr_uniqueness"],
+    )
+    calls = []
+    point = manifolds.Manifold.point
+    monkeypatch.setattr(
+        manifolds.Manifold, "point", lambda self, c: calls.append(1) or point(self, c)
+    )
+    report = lab.run_experiment(cfg)
+    assert report.completed == 3
+    assert calls == []
 
 
 @pytest.mark.parametrize("experiment", sorted(PSR_CONFIGS))

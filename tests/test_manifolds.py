@@ -392,17 +392,23 @@ def test_quasi_random_points_repeat_identically(spec):
 GENERATED_KINDS = {
     m.manifold_id: m
     for m in [
+        Sphere(1),
         Sphere(2),
+        Sphere(3),
+        SpecialOrthogonal(2, 0.25),
+        SpecialOrthogonal(2, 1.0),
+        SpecialOrthogonal(2, 4.0),
         SpecialOrthogonal(3, 0.25),
         SpecialOrthogonal(3, 1.0),
         SpecialOrthogonal(3, 4.0),
         DiagPos(3),
+        cover_manifold(2),
         cover_manifold(3),
     ]
 }
 # Sphere._dist forms |q - <p, q> p|, which is symmetric in p and q only up to
 # rounding (at most 4.4e-16 over 38000 pairs); every other kind here is
-# exactly symmetric.
+# exactly symmetric, SO(2) term by term in its float row routine.
 SPHERE_SYMMETRY_TOL = 1e-15
 
 
@@ -474,15 +480,17 @@ def sphere_dist_with_clip(p, q):
 
 
 def sphere_log_with_clip(p, q, tol):
-    """`Sphere._log` as first written, with `np.clip` and `np.linalg.norm`."""
+    """`Sphere._log` with `np.clip` and `np.linalg.norm`, scaling ``w`` by
+    ``theta / |w|``."""
     c = float(np.clip(np.dot(p, q), -1.0, 1.0))
     w = q - c * p
-    theta = math.atan2(np.linalg.norm(w), c)
+    h = np.linalg.norm(w)
+    theta = math.atan2(h, c)
     if theta > math.pi - tol:
         raise CutLocusError("antipodal points: sphere log undefined")
-    if theta < 1e-16:
+    if theta < 1e-16 or h == 0.0:
         return np.zeros_like(p)
-    return (theta / math.sin(theta)) * w
+    return (theta / h) * w
 
 
 def sphere_pair(n: int, seed: int, kind: str):
@@ -566,12 +574,13 @@ def sphere_log_with_np_dot(p, q, tol):
     """`Sphere._log` with `np.dot` for the cosine and ``@`` for |w|^2."""
     c = max(-1.0, min(1.0, float(np.dot(p, q))))
     w = q - c * p
-    theta = math.atan2(math.sqrt(float(w @ w)), c)
+    h = math.sqrt(float(w @ w))
+    theta = math.atan2(h, c)
     if theta > math.pi - tol:
         raise CutLocusError("antipodal points: sphere log undefined")
-    if theta < 1e-16:
+    if theta < 1e-16 or h == 0.0:
         return np.zeros_like(p)
-    return (theta / math.sin(theta)) * w
+    return (theta / h) * w
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,6 +11,7 @@ from riemmean import spd
 from riemmean.equivariant import QuotientPoint, d_evt, efm_objective
 from riemmean.errors import DegenerateSpectrumError, InvalidInputError
 from riemmean.frechet import Configuration, barycenter_check
+from riemmean.manifolds import Manifold
 from riemmean.spd import (
     EigenPair,
     SignedPermutation,
@@ -269,6 +270,43 @@ def test_to_point_is_built_once_per_cover(k):
     assert np.array_equal(other.coords, p.coords)
     round_trip = EigenPair.from_point(cover, p)
     assert np.array_equal(round_trip.U, pair.U) and np.array_equal(round_trip.d, pair.d)
+
+
+@pytest.mark.parametrize(
+    "U, d",
+    [
+        (np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([2.0, 1.0])),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([2.0, 1.0])),
+        (ROT(0.3), np.array([2.0, 0.0])),
+        (ROT(0.3), np.array([2.0, -1.0])),
+    ],
+    ids=["non_orthogonal", "det_minus_one", "zero_entry", "negative_entry"],
+)
+def test_user_pairs_are_validated_where_they_enter(U, d):
+    """A pair built by the caller becomes a cover point only through the
+    cover's point check; the package's own pairs skip it, but a user's
+    non-orthogonal U, det -1 or non-positive d is still refused."""
+    with pytest.raises(InvalidInputError):
+        d_psr(np.diag([3.0, 1.0]), EigenPair(U, d))
+    with pytest.raises(InvalidInputError):
+        EigenPair(U, d).to_point(cover_manifold(2))
+
+
+def test_package_pairs_become_cover_points_unchecked(monkeypatch):
+    """`eig_canonical` and `EigenPair.from_point` pairs are cover points
+    by construction: no `Manifold.point` call, but the shape is checked."""
+    calls = []
+    point = Manifold.point
+    monkeypatch.setattr(Manifold, "point", lambda self, c: calls.append(1) or point(self, c))
+    cover = cover_manifold(2)
+    pair = eig_canonical(np.array([[3.0, 0.4], [0.4, 1.0]]))
+    p = pair.to_point(cover)
+    assert EigenPair.from_point(cover, p).to_point(cover) is p
+    assert calls == []
+    with pytest.raises(InvalidInputError, match="expected flat shape"):
+        pair.to_point(cover_manifold(3))
+    EigenPair(pair.U, pair.d).to_point(cover)
+    assert calls == [1]
 
 
 def test_eig_canonical_rejects_nonspd():
