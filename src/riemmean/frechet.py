@@ -39,6 +39,9 @@ from .manifolds import (
     Tangent,
     _frozen,
     quasi_random_points,
+    _RowProduct,
+    _S2,
+    _SO2,
 )
 
 DEFAULT_TOL = 1e-10
@@ -149,9 +152,11 @@ def _descent_state(m: Manifold, data, coords):
     gradient norm, from the kind's `_descent_step` over ``data``.
 
     ``coords``, ``data`` and the direction are in the kind's descent form
-    (`Manifold._descent_form`): coordinate arrays, except on S^2, where
-    they are Python float triples and the data's rows as lists.  One pass
-    of the kind's `_karcher_step` arithmetic over the data forms all three.
+    (`Manifold._descent_form`): coordinate arrays, except on the row kinds
+    (S^2, SO(2) and their products, the m = 2 PSR cover among them), where
+    they are flat float sequences and the data's rows (`manifolds._RowKind`).
+    One pass of the kind's `_karcher_step` arithmetic over the data forms
+    all three.
     Off cut loci ``dist == |log|``, so the objective is the mean squared log
     norm, and the gradient norm is the norm of ``Y_Q``, the mean of the
     data's logs.  The step direction is ``Y_Q`` itself, the exact Newton
@@ -185,13 +190,14 @@ def karcher_descent(Q: Configuration, p0: Point, tol: float = DEFAULT_TOL) -> Me
     ``MAX_ITER`` iterations.
 
     The loop carries the point, the data and the direction in the kind's
-    descent form (`Manifold._descent_form`; float triples on S^2), steps
-    with `Manifold._descent_move`, and freezes the minimizer's coordinates
-    once, at exit.  The result is read off the final descent state, with
-    no further pass over the data: ``objective`` is its objective,
-    ``grad_norm`` and ``barycenter_residual`` its gradient norm, and
-    ``classification`` is `SHORT` (that state's log pass found every data
-    point inside the ``CUT_TOL`` margin).  ``afsari_certified`` is False, since one run
+    descent form (`Manifold._descent_form`; flat float sequences on the row
+    kinds), steps with `Manifold._descent_move`, and freezes the
+    minimizer's coordinates once, at exit, in the manifold's shape.  The
+    result is read off the final descent state, with no further pass over
+    the data: ``objective`` is its objective, ``grad_norm`` and
+    ``barycenter_residual`` its gradient norm, and ``classification`` is
+    `SHORT` (that state's log pass found every data point inside the
+    ``CUT_TOL`` margin).  ``afsari_certified`` is False, since one run
     certifies nothing; `frechet_mean` sets it from the data.
 
     A bad ``tol`` (see `_check_descent_settings`) raises `InvalidInputError`.
@@ -234,7 +240,7 @@ def karcher_descent(Q: Configuration, p0: Point, tol: float = DEFAULT_TOL) -> Me
                 f"backtracking stalled at grad norm {g:.3e}"
             )
     return MeanResult(
-        minimizer=Point(m.manifold_id, _frozen(coords)),
+        minimizer=Point(m.manifold_id, _frozen(coords).reshape(m.shape)),
         objective=f,
         grad_norm=g,
         iterations=iterations,
@@ -358,8 +364,10 @@ def _no_open_hemisphere(m: Manifold, stack: np.ndarray) -> bool:
 
 # the kinds of `manifolds`, all of sectional curvature >= 0 (products of
 # such factors too), which `_enclosing_radius_bound` needs; a kind added to
-# `manifolds` must be checked against the bound and listed here
-CURVATURE_NONNEGATIVE = (Euclidean, Sphere, SpecialOrthogonal, DiagPos, Product)
+# `manifolds` must be checked against the bound and listed here (the row
+# kinds are S^2, SO(2) and products of them, built on the same metrics)
+CURVATURE_NONNEGATIVE = (Euclidean, Sphere, SpecialOrthogonal, DiagPos, Product,
+                         _S2, _SO2, _RowProduct)
 # Frank-Wolfe steps of `_enclosing_radius_bound` after the farthest pair
 BOUND_STEPS = 32
 

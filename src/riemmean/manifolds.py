@@ -36,7 +36,7 @@ Each kind writes its per-point kernels ``_exp``, ``_log``, ``_dist`` and
 * ``_dist_form(stack)`` / ``_form_dists(p, form)`` -- ``_dist_block`` split
   in two, so that a stack measured many times (an orbit scan's, a
   certificate's) is put in the kind's form once: the array itself, except
-  on float-form products.
+  on the row kinds below, whose form is the stack's rows.
 
 The Karcher descent carries its point, data and direction in the kind's
 own form, coordinate arrays in the base class: ``_descent_form(p, stack)``
@@ -72,39 +72,23 @@ Products slice the stack's column ranges into factor blocks, and join the
 factor means and add the factor objectives.  This is the leading-batch-axis
 vectorization of Geomstats (Miolane et al., JMLR 2020).
 
-The sphere's kernels run on a few short rows (a C9 descent state is a 5 x 3
-stack), where numpy's per-call overhead costs more than the arithmetic.  So
-on S^2 they run on Python floats: one row routine, ``Sphere._row``, forms a
-row's angle and off-``p`` components from six floats and refuses near the
-antipode; the per-point ``_dist`` and ``_log`` and ``_dist_block`` are
-built on it.  ``_s2_log_mean`` runs its arithmetic inline over a stack's
-rows for ``_log_mean`` / ``_karcher_step`` and ``_descent_step``, and
-``_s2_exp`` is the one float exp of ``_exp`` and ``_descent_move``.  A
-block's rows are then the per-point values bit for bit, and a block
-refuses exactly when some row's ``_log`` does.  The S^2 descent form is
-float triples and the stack's ``tolist``; a state builds one ndarray, to
-take the gradient norm with numpy's ``dot`` rounding, so the descent
-forms the array form's states bit for bit.  Spheres of other dimensions
-keep numpy kernels and the array form: ``ndarray.dot`` for the per-point
-dot products, and one ``np.hypot.reduce`` per row norm in the blocks,
-whose rows agree with the per-point values within rounding, not bit for
-bit.  Every sphere scales the log's ``w`` by ``theta / |w|``.
-
-The m = 2 PSR cover SO(2) x Diag+(2) runs on Python floats as well, with
-orbit scans of 40 rows and descent states of 10.  SO(2) and DiagPos have
-float row routines (``_float_rows``): ``_rows(stack)`` puts a stack's rows
-in float form once (SO(2) rotation parts, DiagPos entry logs), and
-``_row_log_mean``, ``_row_dists`` and ``_row_exp`` work on a point's flat
-entries.  SO(2) builds all its kernels on them: one row routine,
-`_so2_angles`, gives the relative angles for ``_dist_block``, ``_log`` and
-``_log_mean`` / ``_karcher_step``, and `_so2_exp` is its one exp.  DiagPos
-keeps its numpy kernels, since the m = 3 cover's 240-row scans run faster
-on them; its float rows are the one deliberate second path.  A product
-whose factors all have float rows composes them into its float form:
-``_dist_block``, ``_dist_form`` / ``_form_dists``, ``_log_mean`` /
-``_karcher_step``, ``_exp`` and the three ``_descent_*`` kernels read the
-factors' routines, the point is a flat float tuple and the data the
-factors' rows.  Other products (the m = 3 cover) keep the arrays.
+Kinds whose stacks are a few short rows run on Python floats, where
+numpy's per-call overhead costs more than the arithmetic: S^2 (a C9 descent
+state is a 5 x 3 stack), SO(2), and products of such kinds (the m = 2 PSR
+cover SO(2) x Diag+(2), with orbit scans of 40 rows).  Each writes the
+float row routines of `_RowKind`, which derives from them, once, the array
+kernels and a descent form of flat float tuples; its gradient norm keeps
+the rounding of the kind's `_inner`, so the float descent forms the array
+descent's states bit for bit.  ``Sphere(2)``, ``SpecialOrthogonal(2, k)``
+and every product whose factors all have rows (``_float_rows``) are built
+as its subclasses `_S2`, `_SO2` and `_RowProduct`, so no kernel tests
+which form it runs in.  DiagPos has rows but keeps its numpy kernels,
+since the m = 3 cover's 240-row scans run faster on them: its rows are the
+one deliberate second path.  Other spheres, SO(m >= 3) and other products
+keep numpy kernels; there a sphere block takes each row norm with one
+``np.hypot.reduce``, so its rows agree with the per-point values within
+rounding, not bit for bit.  Every sphere scales the log's ``w`` by
+``theta / |w|``.
 """
 
 from __future__ import annotations
@@ -170,9 +154,9 @@ class Manifold:
     is_compact: bool
     # shape of one point's coordinates
     shape: tuple[int, ...]
-    # True on the kinds with float row routines (SO(2), DiagPos): `_rows`,
-    # `_row_log_mean`, `_row_sq_dists` and `_row_exp`, which `Product`
-    # composes into its float form
+    # True on the kinds with float row routines (`_RowKind`, DiagPos):
+    # `_rows`, `_row_log_mean`, `_row_dists` and `_row_exp`, which a
+    # `_RowProduct` composes
     _float_rows = False
 
     # -- wrapping / validation ------------------------------------------------
@@ -377,6 +361,61 @@ class Manifold:
         return f"{type(self).__name__}({self.manifold_id!r})"
 
 
+class _RowKind(Manifold):
+    """A kind whose kernels run on float row routines, on flat float
+    sequences:
+
+    * ``_rows(stack)`` -- the stack's rows in float form, built once;
+    * ``_row_log_mean(p, rows, tol)`` -- ``(mean_log, mean_sq)``, refusing
+      as `_log` does;
+    * ``_row_dists(p, rows)`` -- the distances, as an iterable of floats;
+    * ``_row_exp(p, s, v)`` -- ``exp_p(s v)``, with ``s v`` formed entry by
+      entry first, as the array descent's ``s * direction``.
+
+    The array kernels below wrap them, once for every row kind; the kind
+    writes the four routines and its per-point `_log`, `_dist` and
+    `_inner`."""
+
+    _float_rows = True
+
+    def _row_norm(self, p, v):
+        """The norm of the flat tangent ``v`` at ``p``, the square root of
+        `_inner` on arrays, as the array descent and `barycenter_check`
+        take it."""
+        v = np.array(v).reshape(self.shape)
+        return math.sqrt(max(self._inner(np.array(p).reshape(self.shape), v, v), 0.0))
+
+    def _exp(self, p, v):
+        return np.array(self._row_exp(p.ravel().tolist(), 1.0, v.ravel().tolist())).reshape(p.shape)
+
+    def _log_mean(self, p, stack, tol):
+        mean, mean_sq = self._row_log_mean(p.ravel().tolist(), self._rows(stack), tol)
+        return np.array(mean).reshape(p.shape), mean_sq
+
+    # the mean log of `_log_mean` as the step: a product's factor-wise step
+    # would read DiagPos's numpy mean log, which rounds differently
+    _karcher_step = Manifold._karcher_step
+
+    def _dist_block(self, p, stack):
+        return self._form_dists(p, self._rows(stack))
+
+    def _dist_form(self, stack):
+        return self._rows(stack)
+
+    def _form_dists(self, p, form):
+        return np.fromiter(self._row_dists(p.ravel().tolist(), form), float)
+
+    def _descent_form(self, p, stack):
+        return tuple(p.ravel().tolist()), self._rows(stack)
+
+    def _descent_step(self, p, data, tol):
+        mean, mean_sq = self._row_log_mean(p, data, tol)
+        return mean, mean_sq, self._row_norm(p, mean)
+
+    def _descent_move(self, p, s, direction):
+        return self._row_exp(p, s, direction)
+
+
 class Euclidean(Manifold):
     """Flat R^n."""
 
@@ -435,46 +474,6 @@ def _log_scale(theta: float, h: float) -> float:
     return 0.0 if theta < 1e-16 or h == 0.0 else theta / h
 
 
-def _s2_exp(p, v):
-    """S^2 ``exp_p(v)`` on two float triples, as a float triple."""
-    p0, p1, p2 = p
-    v0, v1, v2 = v
-    theta = math.hypot(v0, v1, v2)
-    sinc = 1.0 if theta < 1e-12 else math.sin(theta) / theta
-    cos = math.cos(theta)
-    o0 = cos * p0 + sinc * v0
-    o1 = cos * p1 + sinc * v1
-    o2 = cos * p2 + sinc * v2
-    norm = math.hypot(o0, o1, o2)
-    return o0 / norm, o1 / norm, o2 / norm
-
-
-def _s2_log_mean(p, rows, tol):
-    """``(mean_log, mean_sq)`` on S^2 at the float triple ``p`` over the
-    float triples ``rows``, the mean log a float triple: the arithmetic of
-    `Sphere._row` and `_log_scale`, inline (a call per row would cost about
-    as much as the row), refusing as `_row` does."""
-    p0, p1, p2 = p
-    s0 = s1 = s2 = sq = 0.0
-    edge = math.pi - tol
-    for q0, q1, q2 in rows:
-        c = p0 * q0 + p1 * q1 + p2 * q2
-        w0 = q0 - c * p0
-        w1 = q1 - c * p1
-        w2 = q2 - c * p2
-        h = math.hypot(w0, w1, w2)
-        theta = math.atan2(h, c)
-        if theta > edge:
-            raise CutLocusError("antipodal points: sphere log undefined")
-        r = 0.0 if theta < 1e-16 or h == 0.0 else theta / h
-        s0 += r * w0
-        s1 += r * w1
-        s2 += r * w2
-        sq += theta * theta
-    n = len(rows)
-    return (s0 / n, s1 / n, s2 / n), sq / n
-
-
 class Sphere(Manifold):
     """Unit n-sphere in R^(n+1).
 
@@ -483,17 +482,16 @@ class Sphere(Manifold):
     ``p`` with length ``theta = atan2(|w|, <p, q>)``.  The cut locus of
     ``p`` is the antipode ``-p``.
 
-    On S^2 (n == 2) every kernel but `_inner` runs on Python floats:
-    `_dist`, `_log` and `_dist_block` are built on the one row routine
-    `_row`, the mean logs and the descent step on its inline form
-    `_s2_log_mean`, `_exp` and the descent move on `_s2_exp`, and the
-    Karcher descent carries float triples (`_descent_form`).  Other n use
-    numpy and the array descent form: the per-point kernels clamp the
-    cosine and read ``sqrt(w.dot(w))``, the blocks take each row norm with
-    one ``np.hypot.reduce``, so there block rows and per-point values may
+    ``Sphere(2)`` is built as `_S2`, on Python floats.  Other n use numpy
+    and the array descent form: the per-point kernels clamp the cosine and
+    read ``sqrt(w.dot(w))``, the blocks take each row norm with one
+    ``np.hypot.reduce``, so there block rows and per-point values may
     differ in the last bits.  Every n scales ``w`` by ``theta / |w|``
     (`_log_scale`), so the log's norm is the distance near the antipode.
     """
+
+    def __new__(cls, n=None):
+        return super().__new__(_S2 if cls is Sphere and n == 2 else cls)
 
     def __init__(self, n: int):
         if n < 1:
@@ -517,35 +515,13 @@ class Sphere(Manifold):
         if abs(np.dot(base.coords, vec)) > POINT_TOL * max(1.0, np.linalg.norm(vec)):
             raise InvalidInputError("vector is not tangent to the sphere")
 
-    def _row(self, p0, p1, p2, q0, q1, q2, tol=None):
-        """The one S^2 row kernel: ``(theta, h, w0, w1, w2)``, the angle
-        from ``p`` to ``q``, the norm ``h`` of ``w = q - <p, q> p`` and its
-        components, on six Python floats.  With a ``tol``, refuses
-        `CutLocusError` when ``theta > pi - tol``, the sphere's one
-        cut-locus rule."""
-        c = p0 * q0 + p1 * q1 + p2 * q2
-        w0 = q0 - c * p0
-        w1 = q1 - c * p1
-        w2 = q2 - c * p2
-        h = math.hypot(w0, w1, w2)
-        theta = math.atan2(h, c)
-        if tol is not None and theta > math.pi - tol:
-            raise CutLocusError("antipodal points: sphere log undefined")
-        return theta, h, w0, w1, w2
-
     def _exp(self, p, v):
-        if self.n == 2:
-            return np.array(_s2_exp(p.tolist(), v.tolist()))
         theta = math.sqrt(v.dot(v))
         sinc = 1.0 if theta < 1e-12 else math.sin(theta) / theta
         out = math.cos(theta) * p + sinc * v
         return out / math.sqrt(out.dot(out))
 
     def _log(self, p, q, tol):
-        if self.n == 2:
-            theta, h, w0, w1, w2 = self._row(*p.tolist(), *q.tolist(), tol)
-            r = _log_scale(theta, h)
-            return np.array([r * w0, r * w1, r * w2])
         c = max(-1.0, min(1.0, float(p.dot(q))))
         w = q - c * p
         h = math.sqrt(w.dot(w))
@@ -555,8 +531,6 @@ class Sphere(Manifold):
         return _log_scale(theta, h) * w
 
     def _dist(self, p, q):
-        if self.n == 2:
-            return self._row(*p.tolist(), *q.tolist())[0]
         c = max(-1.0, min(1.0, float(p.dot(q))))
         w = q - c * p
         return math.atan2(math.sqrt(w.dot(w)), c)
@@ -579,12 +553,8 @@ class Sphere(Manifold):
         return np.arctan2(h, c), h, w
 
     # the base class's mean-log step, formed without its extra call level:
-    # off S^2 the array descent forms one per state
+    # the array descent forms one per state
     def _karcher_step(self, p, stack, tol):
-        if self.n == 2:
-            mean, mean_sq = _s2_log_mean(p.tolist(), stack.tolist(), tol)
-            mean = np.array(mean)
-            return mean, mean_sq, mean
         theta, h, w = self._angles_block(p, stack)
         # the ufunc reduction itself, without ndarray.max's Python wrapper
         if np.maximum.reduce(theta) > math.pi - tol:
@@ -601,33 +571,86 @@ class Sphere(Manifold):
         mean, mean_sq, _ = self._karcher_step(p, stack, tol)
         return mean, mean_sq
 
-    def _descent_form(self, p, stack):
-        if self.n != 2:
-            return super()._descent_form(p, stack)
-        return tuple(p.tolist()), stack.tolist()
+    def _dist_block(self, p, stack):
+        return self._angles_block(p, stack)[0]
 
-    def _descent_step(self, p, data, tol):
-        if self.n != 2:
-            return super()._descent_step(p, data, tol)
-        mean, mean_sq = _s2_log_mean(p, data, tol)
+
+class _S2(_RowKind, Sphere):
+    """S^2 on Python floats: a point or tangent is a float triple, a row of
+    data its coordinates.  The per-point `_log` and `_dist` and the row
+    routines write the same row arithmetic out (a call per row would cost
+    about as much as the row): the angle ``theta = atan2(|w|, c)`` for
+    ``c = <p, q>`` and ``w = q - c p``, refused when ``theta > pi - tol``,
+    so a block's rows are the per-point values bit for bit."""
+
+    def _log(self, p, q, tol):
+        p0, p1, p2 = p.tolist()
+        q0, q1, q2 = q.tolist()
+        c = p0 * q0 + p1 * q1 + p2 * q2
+        w0 = q0 - c * p0
+        w1 = q1 - c * p1
+        w2 = q2 - c * p2
+        h = math.hypot(w0, w1, w2)
+        theta = math.atan2(h, c)
+        if theta > math.pi - tol:
+            raise CutLocusError("antipodal points: sphere log undefined")
+        r = _log_scale(theta, h)
+        return np.array([r * w0, r * w1, r * w2])
+
+    def _dist(self, p, q):
+        return self._row_dists(p.tolist(), (q.tolist(),))[0]
+
+    def _rows(self, stack):
+        return stack.tolist()
+
+    def _row_log_mean(self, p, rows, tol):
+        p0, p1, p2 = p
+        s0 = s1 = s2 = sq = 0.0
+        edge = math.pi - tol
+        for q0, q1, q2 in rows:
+            c = p0 * q0 + p1 * q1 + p2 * q2
+            w0 = q0 - c * p0
+            w1 = q1 - c * p1
+            w2 = q2 - c * p2
+            h = math.hypot(w0, w1, w2)
+            theta = math.atan2(h, c)
+            if theta > edge:
+                raise CutLocusError("antipodal points: sphere log undefined")
+            # `_log_scale`, inline
+            r = 0.0 if theta < 1e-16 or h == 0.0 else theta / h
+            s0 += r * w0
+            s1 += r * w1
+            s2 += r * w2
+            sq += theta * theta
+        n = len(rows)
+        return (s0 / n, s1 / n, s2 / n), sq / n
+
+    def _row_dists(self, p, rows):
+        p0, p1, p2 = p
+        out = []
+        for q0, q1, q2 in rows:
+            c = p0 * q0 + p1 * q1 + p2 * q2
+            out.append(math.atan2(math.hypot(q0 - c * p0, q1 - c * p1, q2 - c * p2), c))
+        return out
+
+    def _row_exp(self, p, s, v):
+        p0, p1, p2 = p
+        v0, v1, v2 = v
+        v0, v1, v2 = s * v0, s * v1, s * v2
+        theta = math.hypot(v0, v1, v2)
+        sinc = 1.0 if theta < 1e-12 else math.sin(theta) / theta
+        cos = math.cos(theta)
+        o0 = cos * p0 + sinc * v0
+        o1 = cos * p1 + sinc * v1
+        o2 = cos * p2 + sinc * v2
+        norm = math.hypot(o0, o1, o2)
+        return o0 / norm, o1 / norm, o2 / norm
+
+    def _row_norm(self, p, v):
         # numpy's dot, as `_inner` takes it: a sum of the squares in Python
         # floats rounds differently
-        arr = np.array(mean)
-        return mean, mean_sq, math.sqrt(max(float(arr.dot(arr)), 0.0))
-
-    def _descent_move(self, p, s, direction):
-        if self.n != 2:
-            return super()._descent_move(p, s, direction)
-        d0, d1, d2 = direction
-        return _s2_exp(p, (s * d0, s * d1, s * d2))
-
-    def _dist_block(self, p, stack):
-        if self.n == 2:
-            p0, p1, p2 = p.tolist()
-            return np.array(
-                [self._row(p0, p1, p2, q0, q1, q2)[0] for q0, q1, q2 in stack.tolist()]
-            )
-        return self._angles_block(p, stack)[0]
+        v = np.array(v)
+        return math.sqrt(max(float(v.dot(v)), 0.0))
 
 
 # flat indices of the entries (2, 1), (0, 2) and (1, 0) of a 3 x 3 matrix:
@@ -659,25 +682,6 @@ def _so2_angles(p, rows):
     ]
 
 
-def _so2_exp(p, v):
-    """SO(2) ``exp_p(v)`` on 4 entries each: ``p rot(t)`` for the angle
-    ``t`` of ``v`` at ``p`` (the skew part of ``p^T v``), with ``p`` read
-    as its rotation part ``[[a, -b], [b, a]]`` and the result scaled to a
-    unit column, so chained moves do not drift off SO(2)."""
-    p00, p01, p10, p11 = p
-    v00, v01, v10, v11 = v
-    t = 0.5 * ((p01 * v00 + p11 * v10) - (p00 * v01 + p10 * v11))
-    cos, sin = math.cos(t), math.sin(t)
-    a = 0.5 * (p00 + p11)
-    b = 0.5 * (p10 - p01)
-    x = a * cos - b * sin
-    y = b * cos + a * sin
-    h = math.hypot(x, y)
-    x /= h
-    y /= h
-    return [x, -y, y, x]
-
-
 class SpecialOrthogonal(Manifold):
     """SO(m) with the scaled bi-invariant metric ``k * g_so``,
     ``g_so(X, Y) = tr(X.T Y) / 2``.
@@ -695,12 +699,11 @@ class SpecialOrthogonal(Manifold):
     within ``tol / sqrt(k)`` of pi, and the base class reads the cut-locus
     predicate off that refusal.
 
-    SO(2) runs on Python floats (the float rows of the module docstring):
-    `_so2_angles` gives the signed relative angle ``t`` of each row, so the
-    distance is ``sqrt(k) |t|`` and the log ``p (t J)``, and `_so2_exp`
-    turns ``p`` by the angle of the tangent.  SO(m >= 3) keeps the numpy
-    kernels.
+    ``SpecialOrthogonal(2, k)`` is built as `_SO2`, on Python floats.
     """
+
+    def __new__(cls, m=None, k=1.0):
+        return super().__new__(_SO2 if cls is SpecialOrthogonal and m == 2 else cls)
 
     def __init__(self, m: int, k: float = 1.0):
         if m < 2:
@@ -717,7 +720,6 @@ class SpecialOrthogonal(Manifold):
         self.constants = MetricConstants.from_bounds(sqrt_k * math.pi, 0.25 / self.k)
         self._newton_eye = _frozen(1.5 * np.eye(m))
         self._sqrt_k = sqrt_k
-        self._float_rows = m == 2
 
     def _check_coords(self, coords):
         if coords.shape != (self.m, self.m):
@@ -735,17 +737,12 @@ class SpecialOrthogonal(Manifold):
             raise InvalidInputError("U.T V is not skew-symmetric")
 
     def _exp(self, p, v):
-        if self._float_rows:
-            return np.array(_so2_exp(p.ravel().tolist(), v.ravel().tolist())).reshape(2, 2)
         R = p @ rotation_exp(p.T @ v)
         # one Newton orthogonality step; exact no-op on orthogonal input
         return R @ (self._newton_eye - 0.5 * (R.T @ R))
 
     # a single point is a stack of one: `_relative` reshapes to (K, m, m)
     def _log(self, p, q, tol):
-        if self._float_rows:
-            mean, _ = self._row_log_mean(p.ravel().tolist(), self._rows(q), tol)
-            return np.array(mean).reshape(q.shape)
         return (p @ self._skew_logs(p, q, tol)).reshape(q.shape)
 
     def _dist(self, p, q):
@@ -780,9 +777,6 @@ class SpecialOrthogonal(Manifold):
         return rotation_log(self._relative(p, stack), tol / math.sqrt(self.k))
 
     def _log_mean(self, p, stack, tol):
-        if self._float_rows:
-            mean, mean_sq = self._row_log_mean(p.ravel().tolist(), self._rows(stack), tol)
-            return np.array(mean).reshape(2, 2), mean_sq
         X = self._skew_logs(p, stack, tol)
         n = len(X)
         return p @ (X.sum(axis=0) / n), self.k * 0.5 * float(np.vdot(X, X)) / n
@@ -822,12 +816,19 @@ class SpecialOrthogonal(Manifold):
         return p @ step, self.k * 0.5 * float(np.vdot(X, X)) / n, p @ (total / n)
 
     def _dist_block(self, p, stack):
-        if self._float_rows:
-            return np.fromiter(self._row_dists(p.ravel().tolist(), self._rows(stack)), float)
         return self._sqrt_k * rotation_norm(self._relative(p, stack))
 
-    # -- SO(2) float rows: a point or tangent is its 4 entries, a row of
-    # data its rotation part ------------------------------------------------
+
+class _SO2(_RowKind, SpecialOrthogonal):
+    """SO(2) on Python floats: a point or tangent is its 4 entries, a row of
+    data its rotation part (`_so2_part`).  `_so2_angles` gives the signed
+    relative angle ``t`` of each row, so the distance is ``sqrt(k) |t|``
+    and the log ``p (t J)``; `_row_exp` turns ``p`` by the angle of the
+    tangent.  The per-point `_log` is the mean log of one row, `_dist` a
+    block of one."""
+
+    def _log(self, p, q, tol):
+        return self._log_mean(p, q, tol)[0]
 
     def _rows(self, stack):
         # `_so2_part` of every row at once (the same float operations)
@@ -835,9 +836,7 @@ class SpecialOrthogonal(Manifold):
         return list(zip((0.5 * (q[:, 0] + q[:, 3])).tolist(), (0.5 * (q[:, 2] - q[:, 1])).tolist()))
 
     def _row_log_mean(self, p, rows, tol):
-        """``(mean_log, mean_sq)`` at ``p`` over ``rows``, the mean log as 4
-        floats, refusing as `_log` does: a relative angle within
-        ``tol / sqrt(k)`` of pi."""
+        # refuses a relative angle within tol / sqrt(k) of pi, as `_log` does
         angles = _so2_angles(_so2_part(*p), rows)
         edge = math.pi - tol / self._sqrt_k
         total = sq = 0.0
@@ -855,8 +854,24 @@ class SpecialOrthogonal(Manifold):
     def _row_dists(self, p, rows):
         return map(self._sqrt_k.__mul__, map(abs, _so2_angles(_so2_part(*p), rows)))
 
-    def _row_exp(self, p, v):
-        return _so2_exp(p, v)
+    def _row_exp(self, p, s, v):
+        # ``p rot(t)`` for the angle ``t`` of ``s v`` at ``p`` (the skew
+        # part of ``p^T s v``), with ``p`` read as its rotation part
+        # ``[[a, -b], [b, a]]`` and the result scaled to a unit column, so
+        # chained moves do not drift off SO(2)
+        p00, p01, p10, p11 = p
+        v00, v01, v10, v11 = v
+        v00, v01, v10, v11 = s * v00, s * v01, s * v10, s * v11
+        t = 0.5 * ((p01 * v00 + p11 * v10) - (p00 * v01 + p10 * v11))
+        cos, sin = math.cos(t), math.sin(t)
+        a = 0.5 * (p00 + p11)
+        b = 0.5 * (p10 - p01)
+        x = a * cos - b * sin
+        y = b * cos + a * sin
+        h = math.hypot(x, y)
+        x /= h
+        y /= h
+        return [x, -y, y, x]
 
 
 class DiagPos(Manifold):
@@ -865,7 +880,7 @@ class DiagPos(Manifold):
 
     The kernels run on numpy, and the float rows (``_rows`` and the
     ``_row_*`` routines: the entries' logs, taken once per stack with
-    ``math.log``) serve float-form products.  That second path is
+    ``math.log``) serve `_RowProduct`.  That second path is
     deliberate: on the m = 3 cover's 240-row orbit scans the numpy
     distances took 15 us, floats 192 us, and floats with the logs prebuilt
     59 us (2-vCPU shared VM), while on the m = 2 cover's short stacks
@@ -950,8 +965,8 @@ class DiagPos(Manifold):
     def _row_dists(self, p, rows):
         return map(math.dist, rows, itertools.repeat(tuple(map(math.log, p))))
 
-    def _row_exp(self, p, v):
-        return [x * math.exp(u / x) for x, u in zip(p, v)]
+    def _row_exp(self, p, s, v):
+        return [x * math.exp(s * u / x) for x, u in zip(p, v)]
 
 
 class Product(Manifold):
@@ -962,15 +977,13 @@ class Product(Manifold):
     any factor is at least 2-dimensional (mixed planes are flat) -- a
     conservative upper bound, which is all `rcx_from_constants` needs.
 
-    When every factor has float rows (today exactly the m = 2 PSR cover
-    SO(2) x Diag+(2)), the product runs in float form: a point is a flat
-    float tuple, a stack the factors' rows, and the distance block, mean
-    log, exp and descent kernels call the factors' row routines.
-    Distances are ``hypot`` of the factor distances; the descent's gradient
-    norm is the square root of `_inner`, the factors' numpy inner products
-    summed in factor order, as the base class and `barycenter_check` take
-    it.  Other products run on the arrays.
+    A product whose factors all have float rows is built as `_RowProduct`.
     """
+
+    def __new__(cls, factors=()):
+        # no factors (unpickling): the class itself
+        rows = cls is Product and factors and all(f._float_rows for f in factors)
+        return super().__new__(_RowProduct if rows else cls)
 
     def __init__(self, factors: list[Manifold]):
         if len(factors) < 2:
@@ -986,7 +999,6 @@ class Product(Manifold):
         self._bounds = list(zip([0] + ends[:-1], ends))
         self._slices = [slice(a, b) for a, b in self._bounds]
         self.shape = (ends[-1],)
-        self._float_form = all(f._float_rows for f in factors)
         r_inj = min(f.constants.r_inj for f in factors)
         deltas = [f.constants.delta_sup for f in factors]
         delta = max(deltas)
@@ -1024,8 +1036,6 @@ class Product(Manifold):
             f._check_tangent(Point(f.manifold_id, p_part), v_part)
 
     def _exp(self, p, v):
-        if self._float_form:
-            return np.array(self._row_exp(p.tolist(), v.tolist()))
         return _join(
             [f._exp(pp, vv) for f, pp, vv in zip(self.factors, self.split(p), self.split(v))]
         )
@@ -1044,9 +1054,6 @@ class Product(Manifold):
         )
 
     def _log_mean(self, p, stack, tol):
-        if self._float_form:
-            mean, mean_sq = self._row_log_mean(p.tolist(), self._dist_form(stack), tol)
-            return np.array(mean), mean_sq
         means = []
         mean_sq = 0.0
         for f, pp, block in zip(self.factors, self.split(p), self._split_block(stack)):
@@ -1056,8 +1063,6 @@ class Product(Manifold):
         return _join(means), mean_sq
 
     def _karcher_step(self, p, stack, tol):
-        if self._float_form:
-            return super()._karcher_step(p, stack, tol)
         # the factors' steps joined; where every factor steps along its mean
         # log, the joined mean is the step, joined once
         steps, means = [], []
@@ -1073,64 +1078,10 @@ class Product(Manifold):
         return _join(steps), mean_sq, joined
 
     def _dist_block(self, p, stack):
-        if self._float_form:
-            return self._form_dists(p, self._dist_form(stack))
         sq = 0.0
         for f, pp, block in zip(self.factors, self.split(p), self._split_block(stack)):
             sq = sq + np.square(f._dist_block(pp, block))
         return np.sqrt(sq)
-
-    # -- the float form, where every factor has float rows: a point or
-    # tangent is a flat sequence of floats, data the factors' rows ----------
-
-    def _dist_form(self, stack):
-        if not self._float_form:
-            return stack
-        return [f._rows(block) for f, block in zip(self.factors, self._split_block(stack))]
-
-    def _form_dists(self, p, form):
-        if not self._float_form:
-            return self._dist_block(p, form)
-        p = p.tolist()
-        dists = [
-            f._row_dists(p[a:b], rows)
-            for f, (a, b), rows in zip(self.factors, self._bounds, form)
-        ]
-        return np.fromiter(map(math.hypot, *dists), float)
-
-    def _row_log_mean(self, p, form, tol):
-        mean = []
-        mean_sq = 0.0
-        for f, (a, b), rows in zip(self.factors, self._bounds, form):
-            part, sq = f._row_log_mean(p[a:b], rows, tol)
-            mean += part
-            mean_sq += sq
-        return mean, mean_sq
-
-    def _descent_form(self, p, stack):
-        if not self._float_form:
-            return p, stack
-        return tuple(p.tolist()), self._dist_form(stack)
-
-    def _descent_step(self, p, data, tol):
-        if not self._float_form:
-            return super()._descent_step(p, data, tol)
-        mean, mean_sq = self._row_log_mean(p, data, tol)
-        # the factors' `_inner` on arrays, as the base class and
-        # `barycenter_check` take the norm: SO(2)'s rounds as numpy's matmul
-        arr = np.array(mean)
-        return mean, mean_sq, math.sqrt(max(self._inner(np.array(p), arr, arr), 0.0))
-
-    def _descent_move(self, p, s, direction):
-        if not self._float_form:
-            return super()._descent_move(p, s, direction)
-        return self._row_exp(p, [s * d for d in direction])
-
-    def _row_exp(self, p, v):
-        out = []
-        for f, (a, b) in zip(self.factors, self._bounds):
-            out += f._row_exp(p[a:b], v[a:b])
-        return out
 
     def _inner(self, p, u, v):
         total = 0
@@ -1151,6 +1102,38 @@ class Product(Manifold):
 
     def _random_coords(self, rng):
         return _join([f._random_coords(rng) for f in self.factors])
+
+
+class _RowProduct(_RowKind, Product):
+    """A product of row kinds on Python floats: a point or tangent is a flat
+    float sequence, a stack its factors' rows, and each row routine reads
+    the factors' on their slices.  Distances are ``hypot`` of the factor
+    distances.  The per-point `_log` and `_dist` stay factor-wise on the
+    arrays (DiagPos's row log rounds differently from its `_log`)."""
+
+    def _rows(self, stack):
+        return [f._rows(block) for f, block in zip(self.factors, self._split_block(stack))]
+
+    def _row_log_mean(self, p, rows, tol):
+        mean = []
+        mean_sq = 0.0
+        for f, (a, b), part_rows in zip(self.factors, self._bounds, rows):
+            part, sq = f._row_log_mean(p[a:b], part_rows, tol)
+            mean += part
+            mean_sq += sq
+        return mean, mean_sq
+
+    def _row_dists(self, p, rows):
+        return map(math.hypot, *[
+            f._row_dists(p[a:b], part_rows)
+            for f, (a, b), part_rows in zip(self.factors, self._bounds, rows)
+        ])
+
+    def _row_exp(self, p, s, v):
+        out = []
+        for f, (a, b) in zip(self.factors, self._bounds):
+            out += f._row_exp(p[a:b], s, v[a:b])
+        return out
 
 
 def parse_manifold(spec: str) -> Manifold:

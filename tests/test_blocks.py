@@ -344,8 +344,9 @@ def test_sphere_dist_block_rows_match_per_point_dist(seed, n, size, near_pi, clo
     close=close_rows,
 )
 def test_s2_blocks_are_their_rows(seed, size, near_pi, close):
-    """On S^2 every kernel is built on the one float row routine
-    `Sphere._row`, so the blocks are their rows bit for bit: each
+    """On S^2 every kernel writes out the same float row arithmetic (the
+    S^2 row kind, `manifolds._S2`), so the blocks are their rows bit for
+    bit: each
     `_dist_block` entry is `_dist`, each `_log_block` row is `_log`, and
     `_log_mean` / `_karcher_step` refuse exactly when some row's `_log`
     does; otherwise they return the rows' mean log and mean squared
@@ -375,6 +376,34 @@ def test_s2_blocks_are_their_rows(seed, size, near_pi, close):
         step, step_sq, step_mean = sphere._karcher_step(p, stack, tol)
         assert np.array_equal(step, mean) and np.array_equal(step_mean, mean)
         assert step_sq == mean_sq
+
+
+FORM_KINDS = [
+    Euclidean(3),
+    Sphere(1),
+    Sphere(2),
+    Sphere(3),
+    *[SpecialOrthogonal(m, k) for m in (2, 3, 4) for k in (1.0, 2.5)],
+    DiagPos(3),
+    cover_manifold(2),
+    cover_manifold(3),
+]
+
+
+@pytest.mark.parametrize("m", FORM_KINDS, ids=lambda m: m.manifold_id)
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds, size=st.integers(min_value=1, max_value=9))
+def test_form_dists_of_dist_form_are_the_dist_block(m, seed, size):
+    """``_form_dists(p, _dist_form(stack))`` is ``_dist_block(p, stack)``
+    bit for bit on every kind, whatever form the kind keeps its stacks in
+    (the array, or its float rows); the base point is one of the rows."""
+    rng = rng_of(seed)
+    p = m.random_point(rng).coords
+    stack = np.stack([p] + [m.random_point(rng).coords for _ in range(size - 1)])
+    want = m._dist_block(p, stack)
+    got = m._form_dists(p, m._dist_form(stack))
+    assert got.dtype == want.dtype and got.shape == want.shape == (size,)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=120, deadline=None)

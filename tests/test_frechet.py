@@ -378,8 +378,9 @@ MEAN_LOG_STEP_KINDS = {
 )
 def test_mean_log_step_kinds_descend_as_before(seed, name, size, spread):
     """Every kind but SO(3) still steps along the mean log: the descent
-    forms bit for bit the states of the loop written out with that step,
-    and takes as many iterations."""
+    forms bit for bit the states of the loop written out with that step
+    (a float-form state read in the manifold's shape), and takes as many
+    iterations."""
     m = MEAN_LOG_STEP_KINDS[name]
     rng = np.random.Generator(np.random.Philox(key=[0x57E9, seed]))
     center = m.random_point(rng)
@@ -390,15 +391,17 @@ def test_mean_log_step_kinds_descend_as_before(seed, name, size, spread):
     want, iterations = descent_with_mean_log_steps(Q, pts[0])
     assert res.iterations == iterations
     assert len(formed) == len(want)
-    assert all(np.array_equal(a, b) for a, b in zip(formed, want))
+    assert all(np.array_equal(np.reshape(a, b.shape), b) for a, b in zip(formed, want))
     assert np.array_equal(res.minimizer.coords, want[-1])
 
 
-def descend_in_both_forms(Q, p0, kind=Sphere):
-    """`karcher_descent` from ``p0`` on ``Q.manifold`` (of class ``kind``:
-    ``Sphere(2)`` or the m = 2 PSR cover) in its float descent form, then
-    with the base class's array form restored; each outcome is the result
-    or the error raised, with the number of descent moves."""
+def descend_in_both_forms(Q, p0):
+    """`karcher_descent` from ``p0`` on ``Q.manifold`` (a row kind: S^2,
+    SO(2) or the m = 2 PSR cover) in its float descent form, then with the
+    base class's array form restored on the class it is built as; each
+    outcome is the result or the error raised, with the number of descent
+    moves."""
+    kind = type(Q.manifold)
 
     def run():
         moves = []
@@ -490,6 +493,55 @@ def test_s2_float_descent_fails_as_the_array_descent(monkeypatch):
         assert_same_outcome(floats, arrays)
 
 
+def float_descent_is_the_array_descent(m, key, seed, size, spread, step):
+    """The descent in flat float sequences on the row kind ``m`` forms the
+    array descent's result bit for bit (moves, minimizer bytes, iterations,
+    objective, gradient norm), or raises its error with the same message,
+    from ``size`` points within ``spread * min(r_cx, 2)`` of a random
+    centre.  The long steps (``STEP = 2.5``) overshoot the flat kinds'
+    exact mean-log step and cycle near the floor, so ``MAX_ITER`` is 500
+    here: both forms then raise the same error."""
+    rng = np.random.Generator(np.random.Philox(key=[key, seed]))
+    center = m.random_point(rng)
+    radius = spread * min(m.constants.r_cx, 2.0)
+    pts = tuple(sample_ball(m, center, radius, rng) for _ in range(size))
+    Q = Configuration(m, pts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frechet, "STEP", step)
+        patch.setattr(frechet, "MAX_ITER", 500)
+        assert_same_outcome(*descend_in_both_forms(Q, pts[0]))
+
+
+def float_descent_fails_as_the_array_descent(m, monkeypatch, turn_near_pi):
+    """On the row kind ``m`` the float descent backtracks, stops at
+    ``MAX_ITER`` and refuses a rotation 1e-9 from angle pi exactly as the
+    array descent does; ``turn_near_pi(p)`` is such a point for ``p``."""
+    rng = rng_for(66)
+    center = m.random_point(rng)
+    pts = tuple(sample_ball(m, center, 1.0, rng) for _ in range(5))
+    Q = Configuration(m, pts)
+    monkeypatch.setattr(frechet, "STEP", 2.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(frechet, "MAX_ITER", 2)
+        floats, arrays = descend_in_both_forms(Q, pts[0])
+    assert isinstance(floats[0], MaxIterExceededError)
+    assert_same_outcome(floats, arrays)
+    # more moves than the two accepted steps: the descent backtracked
+    assert floats[1] > 2
+    monkeypatch.setattr(frechet, "STEP", 1.0)
+    # the second point's rotation lies 1e-9 from angle pi from the first's,
+    # inside the CUT_TOL margin, so a descent from either of them refuses
+    Q = Configuration(m, (pts[0], turn_near_pi(pts[0])) + pts[2:])
+    for i, start in enumerate(Q.points):
+        floats, arrays = descend_in_both_forms(Q, start)
+        if i < 2:
+            assert isinstance(floats[0], CutLocusError)
+        assert_same_outcome(floats, arrays)
+
+
+NEAR_PI = (math.pi - 1e-9) * np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -498,54 +550,55 @@ def test_s2_float_descent_fails_as_the_array_descent(monkeypatch):
     step=st.sampled_from([1.0, 2.5]),
 )
 def test_cover2_float_descent_is_the_array_descent(seed, size, spread, step):
-    """On the m = 2 PSR cover SO(2) x Diag+(2) the descent in flat float
-    tuples forms the array descent's result bit for bit (moves, minimizer
-    bytes, iterations, objective, gradient norm), or raises its error with
-    the same message, also with long steps that backtrack and with data
-    spread past the convexity radius.  The long steps overshoot the
-    flat cover's exact mean-log step and cycle near the floor, so
-    ``MAX_ITER`` is 500 here: both forms then raise the same error."""
-    cover = cover_manifold(2)
-    rng = np.random.Generator(np.random.Philox(key=[0xC0F2, seed]))
-    center = cover.random_point(rng)
-    radius = spread * min(cover.constants.r_cx, 2.0)
-    pts = tuple(sample_ball(cover, center, radius, rng) for _ in range(size))
-    Q = Configuration(cover, pts)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(frechet, "STEP", step)
-        patch.setattr(frechet, "MAX_ITER", 500)
-        assert_same_outcome(*descend_in_both_forms(Q, pts[0], Product))
+    """On the m = 2 PSR cover SO(2) x Diag+(2) the float descent is the
+    array descent (`float_descent_is_the_array_descent`), also with long
+    steps that backtrack and with data spread past the convexity radius."""
+    float_descent_is_the_array_descent(cover_manifold(2), 0xC0F2, seed, size, spread, step)
 
 
 def test_cover2_float_descent_fails_as_the_array_descent(monkeypatch):
-    """On the m = 2 cover the float descent backtracks, stops at
-    ``MAX_ITER`` and refuses a rotation 1e-9 from angle pi exactly as the
-    array descent does."""
+    """On the m = 2 cover the float descent fails as the array descent
+    does (`float_descent_fails_as_the_array_descent`)."""
     cover = cover_manifold(2)
+
+    def turn_near_pi(p):
+        U, d = cover.split(p.coords)
+        return cover.point(cover.join([U @ rotation_exp(NEAR_PI), d]))
+
+    float_descent_fails_as_the_array_descent(cover, monkeypatch, turn_near_pi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=6),
+    spread=st.sampled_from([0.3, 0.9, 2.0]),
+    step=st.sampled_from([1.0, 2.5]),
+    k=st.sampled_from([1.0, 2.5]),
+)
+def test_so2_float_descent_is_the_array_descent(seed, size, spread, step, k):
+    """SO(2) on its own descends in float form too, as the array descent
+    does (`float_descent_is_the_array_descent`)."""
+    float_descent_is_the_array_descent(SpecialOrthogonal(2, k), 0x5002, seed, size, spread, step)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.5])
+def test_so2_float_descent_fails_as_the_array_descent(k, monkeypatch):
+    """SO(2) fails as the array descent does
+    (`float_descent_fails_as_the_array_descent`), and with ``STEP = 2.5``
+    both forms cycle near the floor to ``MAX_ITER`` alike."""
+    so = SpecialOrthogonal(2, k)
+    float_descent_fails_as_the_array_descent(
+        so, monkeypatch, lambda p: so.point(p.coords @ rotation_exp(NEAR_PI))
+    )
     rng = rng_for(66)
-    center = cover.random_point(rng)
-    pts = tuple(sample_ball(cover, center, 1.0, rng) for _ in range(5))
-    Q = Configuration(cover, pts)
+    center = so.random_point(rng)
+    pts = tuple(sample_ball(so, center, 1.0, rng) for _ in range(5))
     monkeypatch.setattr(frechet, "STEP", 2.5)
-    with monkeypatch.context() as patch:
-        patch.setattr(frechet, "MAX_ITER", 2)
-        floats, arrays = descend_in_both_forms(Q, pts[0], Product)
+    floats, arrays = descend_in_both_forms(Configuration(so, pts), pts[0])
     assert isinstance(floats[0], MaxIterExceededError)
+    assert "in 10000 iterations" in str(floats[0])
     assert_same_outcome(floats, arrays)
-    # more moves than the two accepted steps: the descent backtracked
-    assert floats[1] > 2
-    monkeypatch.setattr(frechet, "STEP", 1.0)
-    # the second point's rotation lies 1e-9 from angle pi from the first's,
-    # inside the CUT_TOL margin, so a descent from either of them refuses
-    U, d = cover.split(pts[0].coords)
-    turn = math.pi - 1e-9
-    near = cover.point(cover.join([U @ rotation_exp(turn * np.array([[0.0, -1.0], [1.0, 0.0]])), d]))
-    Q = Configuration(cover, (pts[0], near) + pts[2:])
-    for i, start in enumerate(Q.points):
-        floats, arrays = descend_in_both_forms(Q, start, Product)
-        if i < 2:
-            assert isinstance(floats[0], CutLocusError)
-        assert_same_outcome(floats, arrays)
 
 
 def test_cover2_chained_moves_stay_on_so2():
@@ -922,7 +975,9 @@ def test_certificate_loop_starts_from_the_first_pass_row(rho, monkeypatch):
     data point certifies, and the loop either certifies a centre (rho = 1)
     or stops at a cut locus (rho = pi/2).  The starting centre's distances
     come from the first pass, so the loop computes one row per step it
-    took, and none at the start."""
+    took, and none at the start.  S^2 measures its rows with
+    `_form_dists` on a `_dist_form` built once, so the rows are counted
+    there, on the class it is built as."""
     sphere = Sphere(2)
     pts = tuple(
         sphere.point(
@@ -931,18 +986,19 @@ def test_certificate_loop_starts_from_the_first_pass_row(rho, monkeypatch):
         for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
     )
     calls = {"dist": 0, "exp": 0}
-    dist_block, exp = Sphere._dist_block, Sphere._exp
+    kind = type(sphere)
+    form_dists, exp = kind._form_dists, kind._exp
 
-    def counting_dist_block(self, coords, stack):
+    def counting_form_dists(self, coords, form):
         calls["dist"] += 1
-        return dist_block(self, coords, stack)
+        return form_dists(self, coords, form)
 
     def counting_exp(self, coords, v):
         calls["exp"] += 1
         return exp(self, coords, v)
 
-    monkeypatch.setattr(Sphere, "_dist_block", counting_dist_block)
-    monkeypatch.setattr(Sphere, "_exp", counting_exp)
+    monkeypatch.setattr(kind, "_form_dists", counting_form_dists)
+    monkeypatch.setattr(kind, "_exp", counting_exp)
     cert = afsari_certificate(Configuration(sphere, pts))
     assert cert.certified == (rho < 1.5)
     assert calls["exp"] > 0
@@ -1055,11 +1111,14 @@ def test_lower_bound_decides_what_the_diameter_cannot(k, monkeypatch):
 def test_every_manifold_kind_has_nonnegative_curvature():
     """The lower bound holds only under sectional curvature >= 0: every
     concrete kind of `riemmean.manifolds` must be on the list kept next to
-    it, so a new kind fails here until the bound is reconsidered for it."""
+    it, so a new kind fails here until the bound is reconsidered for it.
+    The bases `Manifold` and `_RowKind` (the row kinds' shared kernels,
+    without a metric) are not kinds."""
     kinds = [
         c
         for c in vars(manifolds).values()
-        if isinstance(c, type) and issubclass(c, Manifold) and c is not Manifold
+        if isinstance(c, type) and issubclass(c, Manifold)
+        and c not in (Manifold, manifolds._RowKind)
     ]
     assert kinds
     for kind in kinds:

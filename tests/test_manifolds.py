@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from conftest import (
     sphere_log_mean_with_einsum,
 )
 from riemmean.core import rotation_exp
+from riemmean import manifolds
 from riemmean.errors import CutLocusError, InvalidInputError
 from riemmean.manifolds import (
     CUT_TOL,
@@ -624,3 +627,27 @@ def test_sphere_per_point_kernels_keep_their_matmul_bits(seed, n, kind, scales):
             assert np.array_equal(sphere._exp(p, w), want)
     assert sphere._inner(p, u, v) == float(np.dot(u, v))
     assert sphere._inner(p, v, v) == float(np.dot(v, v))
+
+
+@pytest.mark.parametrize(
+    "spec, rows",
+    [
+        ("sphere:2", True),
+        ("sphere:3", False),
+        ("so:2:k=2.5", True),
+        ("so:3", False),
+        ("diagpos:2", False),
+        ("product(so:2;diagpos:2)", True),
+        ("product(sphere:2;so:2)", True),
+        ("product(so:3;diagpos:3)", False),
+        ("product(sphere:2;euclidean:2)", False),
+    ],
+)
+def test_each_kind_is_built_in_its_form_and_keeps_it(spec, rows):
+    """S^2, SO(2) and products of row kinds are built as row kinds (their
+    kernels on float rows), every other kind on arrays; a copy or an
+    unpickled manifold keeps the class it was built as."""
+    m = parse_manifold(spec)
+    assert isinstance(m, manifolds._RowKind) == rows
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(twin) is type(m) and twin.manifold_id == m.manifold_id
