@@ -69,6 +69,8 @@ def check_symmetric(S) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got {S.shape}")
+    if S.size == 0:
+        raise InvalidInputError("matrix is empty")
     if not np.isfinite(S).all():
         raise InvalidInputError("matrix has a non-finite entry")
     asym = np.abs(S - S.T).max()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -75,14 +76,10 @@ class Configuration:
     def size(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def coord_stack(self) -> np.ndarray:
         """Data coordinates stacked along axis 0 (cached)."""
-        stack = getattr(self, "_stack", None)
-        if stack is None:
-            stack = np.stack([p.coords for p in self.points])
-            object.__setattr__(self, "_stack", stack)
-        return stack
+        return np.stack([p.coords for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -326,8 +323,7 @@ def barycenter_check(Q: Configuration, p: Point) -> tuple[float, str]:
     except CutLocusError:
         mean, _ = m._log_mean(p.coords, Q.coord_stack, 1e-15)
         classification = BOUNDARY_UNCLASSIFIED
-    residual = math.sqrt(max(m._inner(p.coords, mean, mean), 0.0))
-    return residual, classification
+    return m._norm(p.coords, mean), classification
 
 
 # a triple product of unit vectors is computed to within a few ulps, far

@@ -309,7 +309,7 @@ def sample_in_ball(
     given radius: random tangent direction, radius uniform in (0, r)."""
     ambient = rng.standard_normal(center.coords.shape)
     vec = manifold.project(center, ambient)
-    norm = math.sqrt(max(manifold._inner(center.coords, vec, vec), 0.0))
+    norm = manifold._norm(center.coords, vec)
     if norm < 1e-300:
         return center
     rho = radius * rng.random()

@@ -26,13 +26,26 @@ Each kind writes its per-point kernels ``_exp``, ``_log``, ``_dist`` and
 ``(K,) + shape``:
 
 * ``_dist_block(p, stack)`` -- the K distances from ``p``;
-* ``_log_mean(p, stack, tol)`` -- the mean of the K logs at ``p`` and their
-  mean squared norm (the mean squared distance), formed in one pass without
-  the individual rows;
-* ``_karcher_step(p, stack, tol)`` -- the same pass plus the Karcher
-  descent's step direction: the mean log itself (the base class), except on
-  SO(3), whose constant curvature gives the Newton step in closed form, and
-  on products, which join their factors' steps;
+* ``_karcher_step(p, stack, tol)`` -- the one mean-log pass: the mean of
+  the K logs at ``p``, their mean squared norm (the mean squared
+  distance) and the Karcher descent's step direction, formed without the
+  individual rows.  The step is the mean log itself, except on SO(3),
+  whose constant curvature gives the Newton step in closed form, and on
+  products, which join their factors' steps.
+
+`_log` raises `CutLocusError` when ``q`` is within ``tol`` of the cut locus
+of ``p``: that refusal is the one cut-locus rule, and ``_karcher_step``
+refuses iff some row's `_log` does.  Each kind writes ``_karcher_step`` and
+``_dist_block``; `Manifold` derives ``_log_mean``, ``_norm``, the cut-locus
+predicate and the log block:
+
+* ``_log_mean(p, stack, tol)`` -- ``_karcher_step`` without its step;
+* ``_norm(p, v)`` -- the root of ``_inner(p, v, v)``, read by every
+  gradient norm and barycenter residual;
+* ``_in_cut_locus(p, q, tol)`` -- True iff `_log` refuses ``q``;
+* ``_log_block(p, stack, tol)`` -- the `_log` rows (stacked like the input)
+  with their squared norms under `_inner`, refusing iff some row does, so
+  its rows are the per-point logs by construction;
 * ``_dist_form(stack)`` / ``_form_dists(p, form)`` -- ``_dist_block`` split
   in two, so that a stack measured many times (an orbit scan's, a
   certificate's) is put in the kind's form once: the array itself, except
@@ -49,19 +62,9 @@ The base class builds every kind's tangent basis, products included, by
 Gram-Schmidt under ``_inner`` on the ``_project`` of the embedding's
 standard basis.
 
-`_log` raises `CutLocusError` when ``q`` is within ``tol`` of the cut locus
-of ``p``, and that refusal is the one cut-locus rule: the base class derives
-from it
-
-* ``_in_cut_locus(p, q, tol)`` -- True iff `_log` refuses ``q``;
-* ``_log_block(p, stack, tol)`` -- the `_log` rows (stacked like the input)
-  with their squared norms under `_inner`, refusing iff some row does.
-
-So a point is in the cut locus iff its log refuses, and the block's rows are
-the per-point logs, by construction.  ``_log_mean`` refuses exactly when
-some row is within ``tol`` of the cut locus.  The solvers need only means,
-so the gradient field and the barycenter check call ``_log_mean``, and the
-Karcher descent states ``_descent_step``; no solver calls ``_log_block``.
+The solvers need only means, so the gradient field and the barycenter check
+call ``_log_mean``, and the Karcher descent states ``_descent_step``; no
+solver calls ``_log_block``.
 Every minimum over a group orbit and the concentration certificate call
 ``_dist_block``.  SO(m) forms all relative rotations of a stack with one
 broadcast matmul and reads their angles in closed form for m <= 3, where
@@ -233,7 +236,8 @@ class Manifold:
         return self._inner(p.coords, u.vec, v.vec)
 
     def norm(self, p: Point, v: Tangent) -> float:
-        return math.sqrt(max(self.inner(p, v, v), 0.0))
+        self._same_base(p, v)
+        return self._norm(p.coords, v.vec)
 
     def in_cut_locus(self, p: Point, q: Point, tol: float = CUT_TOL) -> bool:
         """True iff ``q`` is within ``tol`` of the cut locus of ``p``, that
@@ -281,20 +285,15 @@ class Manifold:
     def _dist(self, p: np.ndarray, q: np.ndarray) -> float:
         raise NotImplementedError
 
-    def _log_mean(self, p: np.ndarray, stack: np.ndarray, tol: float):
-        """``(mean_log, mean_sq)``: the mean of the logs at ``p`` of the rows
-        of ``stack`` (shaped like ``p``) and the mean of their squared norms,
-        without forming the rows; refuses iff some row's `_log` does."""
-        raise NotImplementedError
-
     def _karcher_step(self, p: np.ndarray, stack: np.ndarray, tol: float):
-        """``(step, mean_sq, mean_log)``: `_log_mean` of the rows of
-        ``stack`` at ``p`` and the Karcher descent's step direction, a
-        tangent at ``p``.  Here the step is the mean log itself, the exact
-        Newton step of ``mean_sq / 2`` on the flat kinds; a kind with a
-        closed-form Hessian overrides it.  Refuses as `_log_mean` does."""
-        mean, mean_sq = self._log_mean(p, stack, tol)
-        return mean, mean_sq, mean
+        """``(step, mean_sq, mean_log)``: the mean of the logs at ``p`` of
+        the rows of ``stack`` (shaped like ``p``) and the mean of their
+        squared norms, formed in one pass without the rows, and the Karcher
+        descent's step direction, a tangent at ``p``.  The step is the mean
+        log itself (the same object), the exact Newton step of
+        ``mean_sq / 2`` on the flat kinds, except on a kind with a
+        closed-form Hessian.  Refuses iff some row's `_log` does."""
+        raise NotImplementedError
 
     def _descent_form(self, p: np.ndarray, stack: np.ndarray):
         """``(point, data)``: ``p`` and ``stack`` in the Karcher descent's
@@ -305,7 +304,7 @@ class Manifold:
         """``(direction, mean_sq, grad_norm)`` at a descent-form point:
         `_karcher_step` and the norm of its mean log."""
         step, mean_sq, mean = self._karcher_step(p, data, tol)
-        return step, mean_sq, math.sqrt(max(self._inner(p, mean, mean), 0.0))
+        return step, mean_sq, self._norm(p, mean)
 
     def _descent_move(self, p, s: float, direction):
         """The descent-form point ``exp(p, s * direction)``."""
@@ -339,6 +338,18 @@ class Manifold:
 
     def _random_coords(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
+
+    # -- derived from `_karcher_step` and `_inner` -----------------------------
+
+    def _log_mean(self, p: np.ndarray, stack: np.ndarray, tol: float):
+        """``(mean_log, mean_sq)``: `_karcher_step` without its step."""
+        _, mean_sq, mean = self._karcher_step(p, stack, tol)
+        return mean, mean_sq
+
+    def _norm(self, p: np.ndarray, v: np.ndarray) -> float:
+        """The norm of the tangent ``v`` at ``p``, the square root of
+        `_inner`: every gradient norm and barycenter residual reads it."""
+        return math.sqrt(max(self._inner(p, v, v), 0.0))
 
     # -- derived from `_log`, the one cut-locus rule of every kind ------------
 
@@ -379,22 +390,17 @@ class _RowKind(Manifold):
     _float_rows = True
 
     def _row_norm(self, p, v):
-        """The norm of the flat tangent ``v`` at ``p``, the square root of
-        `_inner` on arrays, as the array descent and `barycenter_check`
-        take it."""
-        v = np.array(v).reshape(self.shape)
-        return math.sqrt(max(self._inner(np.array(p).reshape(self.shape), v, v), 0.0))
+        """`_norm` of the flat tangent ``v`` at ``p``, read on arrays, as the
+        array descent and `barycenter_check` take it."""
+        return self._norm(np.array(p).reshape(self.shape), np.array(v).reshape(self.shape))
 
     def _exp(self, p, v):
         return np.array(self._row_exp(p.ravel().tolist(), 1.0, v.ravel().tolist())).reshape(p.shape)
 
-    def _log_mean(self, p, stack, tol):
+    def _karcher_step(self, p, stack, tol):
         mean, mean_sq = self._row_log_mean(p.ravel().tolist(), self._rows(stack), tol)
-        return np.array(mean).reshape(p.shape), mean_sq
-
-    # the mean log of `_log_mean` as the step: a product's factor-wise step
-    # would read DiagPos's numpy mean log, which rounds differently
-    _karcher_step = Manifold._karcher_step
+        mean = np.array(mean).reshape(p.shape)
+        return mean, mean_sq, mean
 
     def _dist_block(self, p, stack):
         return self._form_dists(p, self._rows(stack))
@@ -454,10 +460,11 @@ class Euclidean(Manifold):
     def _random_coords(self, rng):
         return rng.standard_normal(self.n)
 
-    def _log_mean(self, p, stack, tol):
+    def _karcher_step(self, p, stack, tol):
         vecs = stack - p
         n = len(vecs)
-        return vecs.sum(axis=0) / n, float(np.vdot(vecs, vecs)) / n
+        mean = vecs.sum(axis=0) / n
+        return mean, float(np.vdot(vecs, vecs)) / n, mean
 
     def _dist_block(self, p, stack):
         return np.linalg.norm(stack - p, axis=1)
@@ -552,8 +559,6 @@ class Sphere(Manifold):
         h = np.hypot.reduce(w, axis=1)
         return np.arctan2(h, c), h, w
 
-    # the base class's mean-log step, formed without its extra call level:
-    # the array descent forms one per state
     def _karcher_step(self, p, stack, tol):
         theta, h, w = self._angles_block(p, stack)
         # the ufunc reduction itself, without ndarray.max's Python wrapper
@@ -566,10 +571,6 @@ class Sphere(Manifold):
         # per-call overhead on these few rows
         mean = ratio.dot(w) / n
         return mean, float(theta.dot(theta)) / n, mean
-
-    def _log_mean(self, p, stack, tol):
-        mean, mean_sq, _ = self._karcher_step(p, stack, tol)
-        return mean, mean_sq
 
     def _dist_block(self, p, stack):
         return self._angles_block(p, stack)[0]
@@ -776,14 +777,11 @@ class SpecialOrthogonal(Manifold):
         # is tol / sqrt(k)
         return rotation_log(self._relative(p, stack), tol / math.sqrt(self.k))
 
-    def _log_mean(self, p, stack, tol):
-        X = self._skew_logs(p, stack, tol)
-        n = len(X)
-        return p @ (X.sum(axis=0) / n), self.k * 0.5 * float(np.vdot(X, X)) / n
-
     def _karcher_step(self, p, stack, tol):
-        """On SO(3), the Newton step of ``mean_sq / 2``; other m keep the
-        mean log, since SO(m) for m >= 4 is not of constant curvature.
+        """The mean log ``p @ mean(X_i)`` of the skew logs ``X_i``, and as
+        the step the mean log itself, except on SO(3): there the Newton
+        step of ``mean_sq / 2``.  Other m keep the mean log, since SO(m)
+        for m >= 4 is not of constant curvature.
 
         SO(3) under ``k * g_so`` has constant curvature ``1 / (4k)``.  Write
         the skew logs as ``X_i = hat(x_i)``, with angles ``a_i = |x_i|``
@@ -796,10 +794,12 @@ class SpecialOrthogonal(Manifold):
         so the mean Hessian H is positive definite, and the step
         ``p hat(d)`` with ``H d = mean(x_i)`` descends.
         """
-        if self.m != 3:
-            return super()._karcher_step(p, stack, tol)
         X = self._skew_logs(p, stack, tol)
         n = len(X)
+        mean_sq = self.k * 0.5 * float(np.vdot(X, X)) / n
+        if self.m != 3:
+            mean = p @ (X.sum(axis=0) / n)
+            return mean, mean_sq, mean
         total = X.sum(axis=0)
         # the axis vectors x_i of the X_i = hat(x_i), and their angles
         x = X.reshape(n, 9).take(_HAT_ENTRIES, axis=1)
@@ -813,7 +813,7 @@ class SpecialOrthogonal(Manifold):
         H.flat[::4] += c.sum()
         d0, d1, d2 = np.linalg.solve(H, total.reshape(9).take(_HAT_ENTRIES)).tolist()
         step = np.array([[0.0, -d2, d1], [d2, 0.0, -d0], [-d1, d0, 0.0]])
-        return p @ step, self.k * 0.5 * float(np.vdot(X, X)) / n, p @ (total / n)
+        return p @ step, mean_sq, p @ (total / n)
 
     def _dist_block(self, p, stack):
         return self._sqrt_k * rotation_norm(self._relative(p, stack))
@@ -930,10 +930,11 @@ class DiagPos(Manifold):
         # squared norm |diff[k]|^2
         return np.log(stack) - np.log(p)
 
-    def _log_mean(self, p, stack, tol):
+    def _karcher_step(self, p, stack, tol):
         diff = self._log_diff(p, stack)
         n = len(diff)
-        return p * (diff.sum(axis=0) / n), float(np.vdot(diff, diff)) / n
+        mean = p * (diff.sum(axis=0) / n)
+        return mean, float(np.vdot(diff, diff)) / n, mean
 
     def _dist_block(self, p, stack):
         return np.linalg.norm(self._log_diff(p, stack), axis=1)
@@ -1052,15 +1053,6 @@ class Product(Manifold):
                 for f, pp, qq in zip(self.factors, self.split(p), self.split(q))
             )
         )
-
-    def _log_mean(self, p, stack, tol):
-        means = []
-        mean_sq = 0.0
-        for f, pp, block in zip(self.factors, self.split(p), self._split_block(stack)):
-            mean, sq = f._log_mean(pp, block, tol)
-            means.append(mean)
-            mean_sq += sq
-        return _join(means), mean_sq
 
     def _karcher_step(self, p, stack, tol):
         # the factors' steps joined; where every factor steps along its mean

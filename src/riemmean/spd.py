@@ -202,8 +202,12 @@ def spd_validate(S: np.ndarray) -> np.ndarray:
 
 def top_stratum_gap(S: np.ndarray) -> float:
     """Minimum consecutive gap of the sorted spectrum; 0 on repeated
-    eigenvalues.  Refuses what `spd_validate` refuses, from one eigensolve."""
-    lam = np.sort(np.linalg.eigvalsh(check_symmetric(S)))[::-1]
+    eigenvalues.  Refuses what `spd_validate` refuses, from one eigensolve,
+    and a 1 x 1 matrix, which has no gap."""
+    S = check_symmetric(S)
+    if len(S) < 2:
+        raise InvalidInputError(f"a spectral gap needs at least a 2 x 2 matrix, got {S.shape}")
+    lam = np.sort(np.linalg.eigvalsh(S))[::-1]
     if lam[-1] <= 0.0:
         raise InvalidInputError("matrix is not positive definite")
     return float(np.min(lam[:-1] - lam[1:]))

@@ -406,6 +406,24 @@ def test_form_dists_of_dist_form_are_the_dist_block(m, seed, size):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "m", [m for m in FORM_KINDS if "so:3" not in m.manifold_id], ids=lambda m: m.manifold_id
+)
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds, size=st.integers(min_value=1, max_value=9))
+def test_karcher_step_is_the_mean_log_without_so3(m, seed, size):
+    """On every kind without an SO(3) factor the Karcher step is the mean
+    log of the same pass, bit for bit (SO(3)'s Newton step has its own
+    test, `test_so3_step_solves_the_newton_equation`); the base point is
+    one of the rows."""
+    rng = rng_of(seed)
+    p = m.random_point(rng).coords
+    stack = np.stack([p] + [m.random_point(rng).coords for _ in range(size - 1)])
+    step, _, mean = m._karcher_step(p, stack, CUT_TOL)
+    assert step.dtype == mean.dtype and step.shape == mean.shape == p.shape
+    assert step.tobytes() == mean.tobytes()
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     seed=seeds,

@@ -113,6 +113,14 @@ def test_sym_eig_and_expm_sym_refuse_non_finite(bad):
                 refuse(S)
 
 
+def test_empty_matrix_is_refused():
+    """An empty matrix is square, but its entry-wise maxima do not exist:
+    a domain error, not numpy's empty-reduction error."""
+    for refuse in (check_symmetric, sym_eig, expm_sym):
+        with pytest.raises(InvalidInputError, match="matrix is empty"):
+            refuse(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_sym_eig_random_reconstruction_against_jacobi(m):
     rng = rng_for(20 + m)

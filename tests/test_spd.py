@@ -346,6 +346,7 @@ def test_sampled_spd_with_rounding_asymmetry_is_accepted():
 VALID = np.array([[2.0, 0.3], [0.3, 1.0]])
 REFUSALS = {
     "non_square": (np.ones((2, 3)), InvalidInputError, "expected a square matrix, got (2, 3)"),
+    "empty": (np.zeros((0, 0)), InvalidInputError, "matrix is empty"),
     "non_finite": (
         np.array([[1.0, math.nan], [math.nan, 1.0]]),
         InvalidInputError,
@@ -693,12 +694,26 @@ def test_top_stratum_gap_refuses_as_spd_validate_from_one_eigensolve(monkeypatch
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     assert top_stratum_gap(np.diag([4.0, 2.0, 1.0])) == 1.0
     assert len(calls) == 1
-    for bad in (np.diag([1.0, 0.0]), np.diag([1.0, -2.0]), [[2.0, 1.0], [0.0, 2.0]], np.eye(3)[:2]):
+    for bad in (
+        np.diag([1.0, 0.0]),
+        np.diag([1.0, -2.0]),
+        [[2.0, 1.0], [0.0, 2.0]],
+        np.eye(3)[:2],
+        np.zeros((0, 0)),
+    ):
         with pytest.raises(InvalidInputError) as gap_err:
             top_stratum_gap(bad)
         with pytest.raises(InvalidInputError) as validate_err:
             spd_validate(bad)
         assert str(gap_err.value) == str(validate_err.value)
+
+
+def test_top_stratum_gap_refuses_a_1x1_matrix():
+    """One eigenvalue has no consecutive gap: a domain error, not numpy's
+    empty-reduction error, though `spd_validate` accepts the matrix."""
+    spd_validate(np.array([[2.0]]))
+    with pytest.raises(InvalidInputError, match=r"at least a 2 x 2 matrix, got \(1, 1\)"):
+        top_stratum_gap(np.array([[2.0]]))
 
 
 def test_top_stratum_gap_generic_positive():
